@@ -14,9 +14,10 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.costs.device import DeviceProfile, T4
 from repro.egraph.egraph import EGraph
 from repro.egraph.language import ENode
+from repro.egraph.shapeanalysis import infer_fact
 from repro.ir.ops import OpKind
 from repro.ir.opspec import OPS, infer_symbol, op_bytes, op_flops
-from repro.ir.tensor import DataKind, ShapeError, TensorData
+from repro.ir.tensor import DataKind, TensorData
 
 __all__ = ["CostModel", "AnalyticCostModel", "TableCostModel", "INVALID_COST"]
 
@@ -26,7 +27,14 @@ INVALID_COST = 1e6
 
 
 class CostModel:
-    """Interface shared by all cost models.  Costs are in milliseconds."""
+    """Interface shared by all cost models.  Costs are in milliseconds.
+
+    ``op_cost`` must be a pure function of its arguments: :meth:`enode_cost`
+    computes each ``(symbol, operand facts)`` pair once per model instance
+    and serves every later call from its cache.  A model whose costs change
+    while it is in use (say, a :class:`TableCostModel` whose table is edited)
+    needs a fresh instance.
+    """
 
     def op_cost(
         self,
@@ -42,17 +50,32 @@ class CostModel:
     # ------------------------------------------------------------------ #
 
     def enode_cost(self, enode: ENode, egraph: EGraph) -> float:
-        """Cost of an e-node, reading operand metadata from the e-class analysis."""
+        """Cost of an e-node, reading operand metadata from the e-class analysis.
+
+        Cached per instance under the symbol and the ids of the operand
+        facts.  The ids stay unique: :func:`infer_fact` ran on the same
+        operand objects and its process-wide entry keeps them alive.
+        """
         children = [egraph.analysis_data(c) for c in enode.children]
         if any(c is None for c in children):
             return INVALID_COST
         try:
-            output = infer_symbol(enode.op, children)
-        except ShapeError:
-            return INVALID_COST
-        if not output.is_valid:
-            return INVALID_COST
-        return self.op_cost(enode.op, children, output)
+            cache = self._enode_costs
+        except AttributeError:
+            cache = self._enode_costs = {}
+        key = (enode.op, *map(id, children))
+        cost = cache.get(key)
+        if cost is None:
+            output = infer_fact(enode.op, children)
+            cost = self.op_cost(enode.op, children, output) if output.is_valid else INVALID_COST
+            cache[key] = cost
+        return cost
+
+    def __getstate__(self):
+        # The enode-cost cache is keyed on ids of this process's facts.
+        state = dict(self.__dict__)
+        state.pop("_enode_costs", None)
+        return state
 
     def extraction_cost_function(self):
         """The ``node_cost`` callable expected by the extractors."""
@@ -132,6 +155,8 @@ class TableCostModel(CostModel):
     """Cost model with explicit per-symbol costs; unknown symbols fall back.
 
     Useful in unit tests where exact, easily-reasoned-about costs are needed.
+    The table is read-only once the model is in use (e-node costs are
+    cached; see :class:`CostModel`).
     """
 
     def __init__(

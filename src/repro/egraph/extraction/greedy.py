@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.egraph.cycles import FilterList
 from repro.egraph.egraph import EGraph
@@ -49,27 +49,35 @@ class GreedyExtractor(Extractor):
             set(self.filter_list.as_set(egraph)) if self.filter_list is not None else set()
         )
 
+        # Resolve every class's candidates once, in sweep order: canonical
+        # class id and its unfiltered canonical e-nodes with their cost and
+        # canonical children.
+        node_costs: Dict[ENode, float] = {}
+        prepared: List[Tuple[int, List[Tuple[ENode, float, List[int]]]]] = []
+        for eclass in egraph.classes():
+            candidates = []
+            for node in eclass.nodes:
+                canonical = egraph.canonicalize(node)
+                if canonical in filtered:
+                    continue
+                cost = node_costs.get(canonical)
+                if cost is None:
+                    cost = node_costs[canonical] = self.node_cost(canonical, egraph)
+                candidates.append((canonical, cost, [egraph.find(c) for c in canonical.children]))
+            prepared.append((egraph.find(eclass.id), candidates))
+
         best_cost: Dict[int, float] = {}
         best_node: Dict[int, ENode] = {}
-        node_costs: Dict[ENode, float] = {}
 
         # Fixpoint: keep sweeping until no e-class improves.
         changed = True
         while changed:
             changed = False
-            for eclass in egraph.classes():
-                cid = egraph.find(eclass.id)
-                for node in eclass.nodes:
-                    canonical = egraph.canonicalize(node)
-                    if canonical in filtered:
+            for cid, candidates in prepared:
+                for canonical, cost, children in candidates:
+                    if any(c not in best_cost for c in children):
                         continue
-                    if any(egraph.find(c) not in best_cost for c in canonical.children):
-                        continue
-                    if canonical not in node_costs:
-                        node_costs[canonical] = self.node_cost(canonical, egraph)
-                    total = node_costs[canonical] + sum(
-                        best_cost[egraph.find(c)] for c in canonical.children
-                    )
+                    total = cost + sum([best_cost[c] for c in children])
                     if total < best_cost.get(cid, math.inf) - 1e-12:
                         best_cost[cid] = total
                         best_node[cid] = canonical

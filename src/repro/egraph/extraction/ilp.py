@@ -157,9 +157,8 @@ class ILPExtractor(Extractor):
                     (problem.c / scale).reshape(1, -1), -np.inf, [cutoff / scale + _CUTOFF_SLACK]
                 )
             )
-        options = {"time_limit": self.time_limit, "presolve": True}
-        if self.mip_rel_gap > 0:
-            options["mip_rel_gap"] = self.mip_rel_gap
+        # Always passed: HiGHS's own default gap is 1e-4, not 0.
+        options = {"time_limit": self.time_limit, "presolve": True, "mip_rel_gap": self.mip_rel_gap}
         res = milp(
             c=problem.c,
             constraints=constraints,

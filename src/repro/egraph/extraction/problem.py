@@ -258,8 +258,10 @@ def build_extraction_problem(
             classes_after=len(class_ids),
         )
 
+    # Each node is priced once; the objective below reuses these costs.
+    raw_costs = np.array([node_cost(node, egraph) for _, node in nodes], dtype=float)
+
     if prune_dominated:
-        raw_costs = np.array([node_cost(node, egraph) for _, node in nodes])
         child_sets: List[Set[int]] = [
             {egraph.find(ch) for ch in node.children} for _, node in nodes
         ]
@@ -300,6 +302,7 @@ def build_extraction_problem(
         class_pos = {cid: i for i, cid in enumerate(class_ids)}
         old_nodes = nodes
         nodes = [(class_pos[node_class[i]], old_nodes[i][1]) for i in keep]
+        raw_costs = raw_costs[keep]
         nodes_filtered = [False] * len(nodes)
         node_class = [node_class[i] for i in keep]
         class_node_indices = {cid: [] for cid in class_ids}
@@ -314,8 +317,7 @@ def build_extraction_problem(
 
     # Objective
     c = np.zeros(n_vars)
-    for i, (_, node) in enumerate(nodes):
-        c[i] = node_cost(node, egraph)
+    c[:n_nodes] = raw_costs
 
     # Bounds and integrality
     lower = np.zeros(n_vars)

@@ -21,12 +21,18 @@ conclusion:
   interned object's ``id`` is stable for the life of the process (ids of
   dead objects can be reused by the allocator; interned facts never die).
 
-:mod:`repro.rules.conditions` builds on both properties: target patterns
+* :func:`infer_fact` is the one process-wide inference cache:
+  ``(op, operand fact ids) -> interned output fact``, with shape errors
+  stored as invalid facts.  Inference is a pure function of the operator
+  and its operand facts, so the result is shared across e-nodes, candidate
+  bindings, iterations and e-graphs.  ``make``, the compiled condition
+  programs and the cost model all call it.
+
+:mod:`repro.rules.conditions` builds on these properties: target patterns
 compile into flat programs whose variable leaves read
-``egraph.analysis_data`` directly and whose operator steps memoize
-``infer_symbol`` results keyed on the interned children facts -- across
-candidate bindings, iterations, and e-graphs, because inference is a pure
-function of the children facts.
+``egraph.analysis_data`` directly and whose operator steps call
+:func:`infer_fact`; each verdict is cached under the ids of the bound
+variables' facts.
 
 The analysis must uphold one contract for that fast path to be sound:
 **every fact it stores into an e-class is interned** (``make``, ``merge``
@@ -38,7 +44,7 @@ spec path for any other analysis.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from repro.egraph.analysis import Analysis
 from repro.ir.opspec import infer_symbol
@@ -48,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.egraph.egraph import EGraph
     from repro.egraph.language import ENode
 
-__all__ = ["TensorShapeAnalysis", "intern_data", "intern_table_size"]
+__all__ = ["TensorShapeAnalysis", "infer_fact", "intern_data", "intern_table_size"]
 
 
 # Module-level (process-lifetime) intern table.  TensorData is a frozen,
@@ -87,6 +93,35 @@ def intern_data(data: TensorData) -> TensorData:
 def intern_table_size() -> int:
     """Number of distinct facts interned so far (monitoring / tests)."""
     return len(_INTERN)
+
+
+# Process-lifetime inference cache: (op, *operand fact ids) ->
+# (interned output fact, operand facts).  The operands are kept in the entry
+# so their ids cannot be reused by other objects while the key exists --
+# interned operands would stay alive anyway, other callers' facts might not.
+_INFER: Dict[tuple, Tuple[TensorData, tuple]] = {}
+
+
+def infer_fact(op: str, children: Sequence[TensorData]) -> TensorData:
+    """The interned fact ``op`` produces over ``children`` (computed once).
+
+    Same result as ``intern_data(infer_symbol(op, children))``, except that
+    a :class:`~repro.ir.tensor.ShapeError` comes back as an interned invalid
+    fact carrying the error message instead of being raised.  Sound because
+    inference is a pure function of the operator symbol and the operand
+    facts; keyed on the operands' ids, so equal but distinct
+    (non-interned) operands are separate entries with equal results.
+    """
+    key = (op, *map(id, children))
+    hit = _INFER.get(key)
+    if hit is not None:
+        return hit[0]
+    try:
+        data = intern_data(infer_symbol(op, children))
+    except ShapeError as exc:
+        data = intern_data(TensorData.invalid(str(exc)))
+    _INFER[key] = (data, tuple(children))
+    return data
 
 
 class TensorShapeAnalysis(Analysis):
@@ -132,10 +167,7 @@ class TensorShapeAnalysis(Analysis):
         children = [egraph.analysis_data(c) for c in enode.children]
         if any(child is None for child in children):
             return intern_data(TensorData.invalid("missing child analysis data"))
-        try:
-            return intern_data(infer_symbol(enode.op, children))
-        except ShapeError as exc:
-            return intern_data(TensorData.invalid(str(exc)))
+        return infer_fact(enode.op, children)
 
     def merge(self, a: TensorData, b: TensorData) -> Tuple[TensorData, bool]:
         if a is None:

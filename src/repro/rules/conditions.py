@@ -11,11 +11,11 @@ Two evaluation paths exist behind :func:`targets_shape_valid`:
   condition-construction time each target pattern is flattened into a
   post-order program over slots -- variable leaves load the binding's
   precomputed fact straight from ``egraph.analysis_data``, and only the
-  target's *new* operator spine runs :func:`~repro.ir.shapes.infer_symbol`,
-  memoized per instruction on the interned children facts
-  (:mod:`repro.egraph.shapeanalysis`), so repeated shapes across candidate
-  bindings cost one dict probe.  Sub-terms shared across targets compile to
-  one slot.
+  target's *new* operator spine runs inference, through the process-wide
+  cache :func:`~repro.egraph.shapeanalysis.infer_fact`.  The verdict itself
+  is cached under the ids of the bound variables' (interned) facts, so a
+  binding whose facts were seen before costs one dict probe.  Sub-terms
+  shared across targets compile to one slot.
 * **Spec** (``shape_analysis="off"``, or any analysis that does not
   advertise interned facts): :func:`_infer_term` re-runs bottom-up
   inference per evaluation.  This is the executable specification; the
@@ -31,7 +31,7 @@ from repro.egraph.egraph import EGraph
 from repro.egraph.ematch import Match
 from repro.egraph.multipattern import MultiMatch
 from repro.egraph.pattern import Pattern, PatternNode, PatternTerm, PatternVar
-from repro.egraph.shapeanalysis import intern_data
+from repro.egraph.shapeanalysis import infer_fact
 from repro.ir.opspec import infer_symbol
 from repro.ir.tensor import DataKind, ShapeError, TensorData
 
@@ -87,25 +87,25 @@ def pattern_data(egraph: EGraph, pattern: Pattern, subst: Dict[str, int]) -> Ten
     return _infer_term(egraph, subst, pattern.root, {}, id)
 
 
-#: Memo sentinel: the instruction's inference raised :class:`ShapeError`
-#: for these children facts (a pure function of them, so cacheable).
-_SHAPE_ERROR = TensorData.invalid("target spine shape error")
-
-
 class TargetsShapeValid:
     """Condition: every target pattern type-checks under the match's bindings.
 
     Construction compiles the targets into one flat post-order program.
-    Each instruction is ``(var_name, op, child_slots, memo)``:
+    Each instruction is ``(var_name, op, child_slots)``:
 
     * a **variable load** (``var_name`` set) reads the binding's fact from
       ``egraph.analysis_data`` -- an O(1) lookup, no inference;
-    * an **operator step** (``op`` set) runs ``infer_symbol`` over the
-      children slots' facts, memoized in ``memo`` keyed on the interned
-      children facts' ids.  The memo is sound across candidate bindings,
-      iterations, rebuilds, and e-graphs because inference is a pure
-      function of the children facts, and the ids are stable because
-      interned facts are never freed (:mod:`repro.egraph.shapeanalysis`).
+    * an **operator step** (``op`` set) infers its fact from the children
+      slots' facts through :func:`~repro.egraph.shapeanalysis.infer_fact`,
+      the process-wide inference cache.
+
+    The verdict is a pure function of the facts the variable loads read, so
+    the compiled path caches it under the tuple of those facts' ids.  The
+    cache needs no invalidation -- a binding whose e-class facts change
+    simply presents a different key -- and the ids are stable because the
+    compiled path only runs over interned facts, which are never freed
+    (:mod:`repro.egraph.shapeanalysis`).  A pickled condition carries only
+    its targets and recompiles on load: ids mean nothing in another process.
 
     Sub-terms shared across targets are detected structurally at
     construction time and compile to a single slot: the targets of a
@@ -119,7 +119,7 @@ class TargetsShapeValid:
     either way (golden tests pin the trajectories bit-for-bit).
     """
 
-    __slots__ = ("targets", "_roots", "_subterm_keys", "_instrs", "_root_slots")
+    __slots__ = ("targets", "_roots", "_subterm_keys", "_instrs", "_root_slots", "_loads", "_verdicts")
 
     def __init__(self, targets: Sequence[Pattern]) -> None:
         self.targets = tuple(targets)
@@ -142,7 +142,7 @@ class TargetsShapeValid:
 
         # Flat post-order program: structural key -> slot, one instruction
         # per distinct sub-term, children always at lower slots.
-        instrs: List[Tuple[Optional[str], Optional[str], Tuple[int, ...], dict]] = []
+        instrs: List[Tuple[Optional[str], Optional[str], Tuple[int, ...]]] = []
         slot_of: Dict[str, int] = {}
 
         def compile_term(term: PatternTerm) -> int:
@@ -151,10 +151,10 @@ class TargetsShapeValid:
             if slot is not None:
                 return slot
             if isinstance(term, PatternVar):
-                instr = (term.name, None, (), {})
+                instr = (term.name, None, ())
             else:
                 child_slots = tuple(compile_term(c) for c in term.children)
-                instr = (None, term.op, child_slots, {})
+                instr = (None, term.op, child_slots)
             slot = len(instrs)
             instrs.append(instr)
             slot_of[key] = slot
@@ -162,6 +162,18 @@ class TargetsShapeValid:
 
         self._root_slots = tuple(compile_term(root) for root in self._roots)
         self._instrs = tuple(instrs)
+        #: The variable loads, in slot order: the facts the verdict depends on.
+        self._loads = tuple(var for var, _, _ in self._instrs if var is not None)
+        #: ids of the loaded facts -> verdict (see the class docstring).
+        self._verdicts: Dict[Tuple[int, ...], bool] = {}
+
+    # Everything but the targets is keyed on ids of this process's objects,
+    # so a pickled condition ships its targets only and recompiles.
+    def __getstate__(self):
+        return {"targets": self.targets}
+
+    def __setstate__(self, state) -> None:
+        self.__init__(state["targets"])
 
     def _key_of(self, term: PatternTerm) -> str:
         return self._subterm_keys[id(term)]
@@ -181,26 +193,32 @@ class TargetsShapeValid:
     def _check_compiled(self, egraph: EGraph, subst: Dict[str, int]) -> bool:
         data_of = egraph.analysis_data
         subst_get = subst.get
+        facts: List[TensorData] = []
+        for var in self._loads:
+            eclass = subst_get(var)
+            if eclass is None:
+                return False
+            data = data_of(eclass)
+            if data is None or not data.is_valid:
+                return False
+            facts.append(data)
+        key = tuple(map(id, facts))
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._run_program(facts)
+            self._verdicts[key] = verdict
+        return verdict
+
+    def _run_program(self, facts: Sequence[TensorData]) -> bool:
+        """The verdict over valid variable facts (in ``_loads`` order), uncached."""
+        loaded = iter(facts)
         values: List[TensorData] = []
         append = values.append
-        for var, op, child_slots, memo in self._instrs:
+        for var, op, child_slots in self._instrs:
             if var is not None:
-                eclass = subst_get(var)
-                if eclass is None:
-                    return False
-                data = data_of(eclass)
-                if data is None or not data.is_valid:
-                    return False
+                data = next(loaded)
             else:
-                children = [values[i] for i in child_slots]
-                key = tuple(map(id, children))
-                data = memo.get(key)
-                if data is None:
-                    try:
-                        data = intern_data(infer_symbol(op, children))
-                    except ShapeError:
-                        data = _SHAPE_ERROR
-                    memo[key] = data
+                data = infer_fact(op, [values[i] for i in child_slots])
                 if not data.is_valid:
                     return False
             append(data)

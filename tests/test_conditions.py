@@ -1,7 +1,10 @@
 """Tests for rewrite-rule preconditions (shape checking)."""
 
+import pickle
+
 import pytest
 
+from repro.egraph import shapeanalysis
 from repro.egraph.ematch import Match, search_pattern
 from repro.egraph.pattern import Pattern
 from repro.ir.convert import egraph_from_graph
@@ -183,16 +186,52 @@ class TestCompiledSpecParity:
         assert checked > 0
 
     def test_compiled_memo_reused_across_bindings(self):
-        # The per-instruction memo is keyed on interned child fact ids, so a
-        # second binding with the same operand facts is a pure lookup.
+        # The verdict cache is keyed on the ids of the bound variables'
+        # interned facts: w1 and w2 share one fact (same shape), so the second
+        # binding is a pure lookup and infers nothing new.
         eg, _ = matmul_pair_egraph(cols1=32, cols2=32)
+        matches = search_pattern(eg, Pattern.parse("(matmul 0 ?x ?w1)"))
+        assert len(matches) == 2
+        assert matches[0].subst["w1"] != matches[1].subst["w1"]
+        cond = targets_shape_valid([Pattern.parse("(matmul 1 ?x ?w1)")])
+        assert cond(eg, matches[0])
+        assert len(cond._verdicts) == 1
+        inferred = len(shapeanalysis._INFER)
+        assert cond(eg, matches[1])
+        assert len(cond._verdicts) == 1
+        assert len(shapeanalysis._INFER) == inferred
+
+    def test_verdict_cache_matches_uncached_and_spec_paths(self):
+        # Cached verdict == the uncached compiled program == the spec path,
+        # on first evaluation and on the cache hit after it.  One condition
+        # instance serves all three graphs, so a verdict that depends on the
+        # operand shapes must come back different across them.
+        conds = [targets_shape_valid([Pattern.parse(t) for t in targets]) for targets in self.TARGETS]
+        verdicts = set()
+        for cols in [(32, 48), (32, 32), (48, 48)]:
+            eg, _ = egraph_from_graph(matmul_pair_graph(*cols), shape_analysis=True)
+            for pattern_text in self.PATTERNS:
+                for m in search_pattern(eg, Pattern.parse(pattern_text)):
+                    for i, cond in enumerate(conds):
+                        expected = cond._check_spec(eg, m.subst)
+                        facts = [eg.analysis_data(m.subst[v]) for v in cond._loads if v in m.subst]
+                        if len(facts) == len(cond._loads) and all(f.is_valid for f in facts):
+                            assert cond._run_program(facts) == expected
+                        assert cond(eg, m) == expected
+                        assert cond(eg, m) == expected
+                        verdicts.add((i, expected))
+        # Some target is accepted under one binding and rejected under another.
+        assert any((i, True) in verdicts and (i, False) in verdicts for i in range(len(conds)))
+
+    def test_pickled_condition_recompiles_with_an_empty_cache(self):
+        eg, _ = matmul_pair_egraph()
         m = match_for(eg, "(matmul 0 ?x ?w1)")
         cond = targets_shape_valid([Pattern.parse("(matmul 1 ?x ?w1)")])
         assert cond(eg, m)
-        op_memos = [instr[3] for instr in cond._instrs if instr[1] is not None]
-        assert op_memos and all(len(memo) == 1 for memo in op_memos)
-        assert cond(eg, m)
-        assert all(len(memo) == 1 for memo in op_memos)
+        clone = pickle.loads(pickle.dumps(cond))
+        assert clone._verdicts == {}
+        assert clone._instrs == cond._instrs
+        assert clone(eg, m) and clone._check_spec(eg, m.subst)
 
     def test_shared_subterms_compile_to_one_slot(self):
         cond = targets_shape_valid(

@@ -122,9 +122,12 @@ class TestRoundTripProperties:
                 cat = b.concat(1, src, src)
                 s0, s1 = b.split(1, cat)
                 pool.extend([s0, s1])
-        n_outputs = data.draw(st.integers(1, min(3, len(pool))), label="n_outputs")
+        # GraphBuilder hash-conses, so the pool can hold one node twice;
+        # distinct outputs are drawn from the de-duplicated pool.
+        distinct = list(dict.fromkeys(pool))
+        n_outputs = data.draw(st.integers(1, min(3, len(distinct))), label="n_outputs")
         outputs = data.draw(
-            st.lists(st.sampled_from(pool), min_size=n_outputs, max_size=n_outputs,
+            st.lists(st.sampled_from(distinct), min_size=n_outputs, max_size=n_outputs,
                      unique=True),
             label="outputs",
         )

@@ -1,17 +1,22 @@
 """Tests for the cost models."""
 
+import pickle
+
 import pytest
 
 from repro.backend.runtime import measure_graph_runtime, speedup_percent
 from repro.costs import AnalyticCostModel, DeviceProfile, MeasuredCostModel, TableCostModel
 from repro.costs.device import CPU_REFERENCE, T4
 from repro.costs.flops import op_bytes, op_flops
+from repro.core.config import TensatConfig
+from repro.core.session import OptimizationSession
 from repro.costs.model import INVALID_COST
 from repro.ir.convert import egraph_from_graph
 from repro.ir.graph import GraphBuilder
 from repro.ir.ops import Activation
 from repro.ir.shapes import infer_symbol
-from repro.ir.tensor import TensorData
+from repro.ir.tensor import ShapeError, TensorData
+from repro.models import MODEL_NAMES, build_model
 
 
 def T(*shape, **kw):
@@ -168,3 +173,55 @@ class TestRuntimeSimulation:
         assert speedup_percent(1.0, 1.0) == pytest.approx(0.0)
         with pytest.raises(ValueError):
             speedup_percent(1.0, 0.0)
+
+
+def _uncached_enode_cost(model, enode, egraph):
+    """``CostModel.enode_cost`` without its cache: infer, then price."""
+    children = [egraph.analysis_data(c) for c in enode.children]
+    if any(c is None for c in children):
+        return INVALID_COST
+    try:
+        output = infer_symbol(enode.op, children)
+    except ShapeError:
+        return INVALID_COST
+    if not output.is_valid:
+        return INVALID_COST
+    return model.op_cost(enode.op, children, output)
+
+
+class TestEnodeCostCache:
+    """The per-instance e-node cost cache returns the uncached costs exactly."""
+
+    @pytest.mark.parametrize("model_name", MODEL_NAMES)
+    def test_cached_equals_uncached_on_saturated_egraph(self, model_name):
+        config = TensatConfig(node_limit=1_500, iter_limit=8, k_multi=2, extraction="greedy")
+        session = OptimizationSession(build_model(model_name, "tiny"), config=config)
+        session.explore()
+        eg = session.egraph
+        models = [AnalyticCostModel(), TableCostModel({"matmul": 2.0}, default=1.0)]
+        checked = 0
+        for model in models:
+            for _ in range(2):  # the second pass reads every cost from the cache
+                for eclass in eg.classes():
+                    for node in eclass.nodes:
+                        node = eg.canonicalize(node)
+                        assert model.enode_cost(node, eg) == _uncached_enode_cost(model, node, eg)
+                        checked += 1
+        assert checked > 0
+
+    def test_pickling_drops_the_cache(self):
+        eg, root = egraph_from_graph(_small_matmul_graph())
+        model = AnalyticCostModel()
+        node = eg[root].nodes[0]
+        cost = model.enode_cost(node, eg)
+        assert model._enode_costs
+        clone = pickle.loads(pickle.dumps(model))
+        assert not hasattr(clone, "_enode_costs")
+        assert clone.enode_cost(node, eg) == cost
+
+
+def _small_matmul_graph():
+    b = GraphBuilder()
+    x = b.input("x", (8, 64))
+    w = b.weight("w", (64, 32))
+    return b.finish(outputs=[b.matmul(x, w)])

@@ -17,7 +17,9 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.greedy_sweep import greedy_sweep
 from repro import sexpr as sx
+from repro.egraph.cycles import FilterList
 from repro.egraph.egraph import EGraph
 from repro.egraph.extraction.greedy import GreedyExtractor
 from repro.egraph.extraction.ilp import ILPExtractor
@@ -89,6 +91,40 @@ def selection_is_acyclic_and_complete(eg, root, result):
     choices_canonical = {eg.find(c): n for c, n in result.choices.items()}
     result.choices.update(choices_canonical)
     visit(root)
+
+
+class TestPreparedGreedyParity:
+    """The greedy extractor makes the oracle sweep's choice in every e-class."""
+
+    @given(
+        egraph_instances(),
+        st.booleans(),
+        st.integers(min_value=0, max_value=3),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_choices_match_the_sweep_oracle(self, instance, flat, n_filtered, rnd):
+        eg, root, costs = instance
+        # Non-integer costs, so the order of the float additions matters;
+        # flat costs make ties common, so the tie rule matters.
+        if flat:
+            nc = lambda enode, egraph: 0.1  # noqa: E731
+        else:
+            nc = lambda enode, egraph: costs.get(enode.op, 1) / 7.0 + 0.1  # noqa: E731
+        filter_list = None
+        if n_filtered:
+            filter_list = FilterList()
+            nodes = [node for eclass in eg.classes() for node in eclass.nodes]
+            for node in rnd.sample(nodes, min(n_filtered, len(nodes))):
+                filter_list.add(eg, node)
+        best_cost, best_node = greedy_sweep(eg, nc, filter_list)
+        extractor = GreedyExtractor(nc, filter_list=filter_list)
+        if root not in best_cost:
+            with pytest.raises(ValueError):
+                extractor.extract(eg, root)
+            return
+        result = extractor.extract(eg, root)
+        assert result.choices == best_node
 
 
 class TestStrategyEquivalence:

@@ -1,9 +1,10 @@
 """Tests for the e-class shape analysis (interned per-e-class tensor facts).
 
 Covers the interning contract (structurally equal facts are one object), the
-``merge`` conflict behaviour, the repair propagation through the e-graph, and
-a hypothesis property pinning the analysis data to the on-demand inference
-oracle after arbitrary add/union/rebuild sequences.
+``merge`` conflict behaviour, the repair propagation through the e-graph, a
+hypothesis property pinning the analysis data to the on-demand inference
+oracle after arbitrary add/union/rebuild sequences, and the process-wide
+inference cache (:func:`infer_fact`) against direct ``infer_symbol``.
 """
 
 import pytest
@@ -13,9 +14,11 @@ from repro.egraph.egraph import EGraph
 from repro.egraph.language import RecExpr
 from repro.egraph.shapeanalysis import (
     TensorShapeAnalysis,
+    infer_fact,
     intern_data,
     intern_table_size,
 )
+from repro.ir.opspec import OPS
 from repro.ir.shapes import infer_symbol
 from repro.ir.tensor import ShapeError, TensorData
 
@@ -232,3 +235,74 @@ class TestProperties:
                 eg.rebuild()
         eg.rebuild()
         _assert_fixpoint(eg)
+
+
+# --------------------------------------------------------------------- #
+# The inference cache: random (op, fact tuple) pairs.  Shapes come from a
+# small pool so that many draws type-check (ewadd of equal shapes, matmul
+# of (2, 3) by (3, 2), ...) and many do not.
+# --------------------------------------------------------------------- #
+
+_FACT_SHAPES = ((2, 3), (3, 2), (2, 2), (3,), (1, 2, 3, 3), (2, 2, 3, 3), (2, 3, 4, 4))
+
+
+def _tensor_facts():
+    return st.builds(
+        TensorData.tensor,
+        st.sampled_from(_FACT_SHAPES),
+        from_weights=st.booleans(),
+    )
+
+
+_facts = st.one_of(
+    _tensor_facts(),
+    st.builds(TensorData.integer, st.integers(min_value=0, max_value=3)),
+    st.builds(TensorData.string, st.sampled_from(["x", "SAME", "VALID"])),
+    st.just(TensorData.invalid("operand")),
+    st.builds(lambda parts: TensorData.tuple_of(tuple(parts)), st.lists(_tensor_facts(), min_size=2, max_size=2)),
+)
+_symbols = st.sampled_from(sorted(OPS.symbols()) + ["3", "name"])
+
+
+def _direct(op, children):
+    """The uncached reference: infer, intern, shape errors as invalid facts."""
+    try:
+        return intern_data(infer_symbol(op, children))
+    except ShapeError as exc:
+        return intern_data(TensorData.invalid(str(exc)))
+
+
+class TestInferenceCache:
+    @given(_symbols, st.lists(_facts, max_size=5), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_direct_inference(self, op, children, interned):
+        if interned:
+            children = [intern_data(c) for c in children]
+        try:
+            expected = _direct(op, children)
+        except Exception as exc:  # not a shape error: must propagate unchanged
+            with pytest.raises(type(exc)):
+                infer_fact(op, children)
+            return
+        first = infer_fact(op, children)
+        assert first is expected
+        assert infer_fact(op, children) is first
+        # Equal but distinct operand objects give the same interned fact.
+        copies = [TensorData(**{f: getattr(c, f) for f in c.__dataclass_fields__}) for c in children]
+        assert infer_fact(op, copies) is first
+
+    def test_shape_error_is_an_interned_invalid_fact(self):
+        a = intern_data(TensorData.tensor((8, 8)))
+        b = intern_data(TensorData.tensor((4, 4)))
+        data = infer_fact("ewadd", [a, b])
+        assert not data.is_valid
+        assert data is intern_data(data)
+        with pytest.raises(ShapeError) as info:
+            infer_symbol("ewadd", [a, b])
+        assert data.value == str(info.value)
+
+    def test_make_uses_the_shared_cache(self):
+        eg = EGraph(analysis=TensorShapeAnalysis())
+        root = eg.add_expr(RecExpr.parse(f"(ewadd {_leaf('a', (8, 8))} {_leaf('b', (8, 8))})"))
+        leaf = eg.analysis_data(eg.add_expr(RecExpr.parse(_leaf("a", (8, 8)))))
+        assert eg.analysis_data(root) is infer_fact("ewadd", [leaf, leaf])
