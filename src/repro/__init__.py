@@ -25,7 +25,7 @@ Or phase by phase, with the session API (see ``docs/api.md``)::
 
 Batches share one compiled rule trie via :func:`optimize_many`, and the
 component registries in :mod:`repro.core.registry` let third-party
-extractors / schedulers / joins plug in without editing the driver.
+extractors / schedulers / cycle filters plug in without editing the driver.
 
 For repeated traffic there is a long-lived daemon (``python -m repro serve``)
 with a canonical-fingerprint result cache; see :mod:`repro.service` and
@@ -47,17 +47,7 @@ from repro.core.batch import ComparisonResult, compare, optimize_many
 from repro.core.config import ConfigError, TensatConfig
 from repro.core.events import OptimizationObserver, PhaseTimingObserver, RecordingObserver
 from repro.core.optimizer import OptimizationResult, TensatOptimizer, optimize
-from repro.core.registry import (
-    CYCLE_FILTERS,
-    EXTRACTORS,
-    ILP_BACKENDS,
-    MATCHERS,
-    MULTIPATTERN_JOINS,
-    Registry,
-    SCHEDULERS,
-    SEARCH_EXECUTORS,
-    SEARCH_MODES,
-)
+from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, ILP_BACKENDS, Registry, SCHEDULERS
 from repro.core.session import OptimizationSession
 from repro.core.stats import OptimizationStats
 from repro.ir.graph import GraphBuilder, TensorGraph
@@ -96,11 +86,7 @@ __all__ = [
     "CYCLE_FILTERS",
     "EXTRACTORS",
     "ILP_BACKENDS",
-    "MATCHERS",
-    "MULTIPATTERN_JOINS",
     "SCHEDULERS",
-    "SEARCH_EXECUTORS",
-    "SEARCH_MODES",
     # Optimization service
     "ResultCache",
     "ServiceClient",

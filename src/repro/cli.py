@@ -22,17 +22,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.core import TensatConfig, compare, optimize
-from repro.core.registry import (
-    CONDITION_CACHES,
-    CYCLE_FILTERS,
-    EXTRACTORS,
-    MATCHERS,
-    MULTIPATTERN_JOINS,
-    SCHEDULERS,
-    SEARCH_EXECUTORS,
-    SEARCH_MODES,
-    SHAPE_ANALYSES,
-)
+from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, SCHEDULERS
 from repro.costs import AnalyticCostModel
 from repro.ir.serialize import graph_to_doc, load_graph, save_graph
 from repro.models import MODEL_NAMES, build_model, load_onnx_model, parse_dim_overrides
@@ -95,45 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     opt.add_argument("--cycle-filter", choices=CYCLE_FILTERS.names(), default="efficient")
     opt.add_argument(
-        "--matcher", choices=MATCHERS.names(), default=_CONFIG_DEFAULTS.matcher,
-        help="e-matcher: compiled VM or the naive interpretive reference",
-    )
-    opt.add_argument(
-        "--search-mode", choices=SEARCH_MODES.names(), default=_CONFIG_DEFAULTS.search_mode,
-        help="VM search organisation: shared-prefix rule trie or per-rule programs",
-    )
-    opt.add_argument(
         "--scheduler", choices=SCHEDULERS.names(), default=_CONFIG_DEFAULTS.scheduler,
         help="rule scheduling: every rule every iteration, or egg-style backoff",
-    )
-    opt.add_argument(
-        "--multipattern-join", choices=MULTIPATTERN_JOINS.names(),
-        default=_CONFIG_DEFAULTS.multipattern_join,
-        help="multi-pattern match combination: indexed hash join or Cartesian product",
-    )
-    opt.add_argument(
-        "--condition-cache", choices=CONDITION_CACHES.names(),
-        default=_CONFIG_DEFAULTS.condition_cache,
-        help="shape/condition-check caching: auto (resolve against the shape "
-             "analysis), generation-invalidated memo, or direct evaluation",
-    )
-    opt.add_argument(
-        "--shape-analysis", choices=SHAPE_ANALYSES.names(),
-        default=_CONFIG_DEFAULTS.shape_analysis,
-        help="condition checking: compiled programs over precomputed per-e-class "
-             "facts, or on-demand shape inference per candidate binding",
-    )
-    opt.add_argument(
-        "--jobs", dest="search_jobs", type=int, default=_CONFIG_DEFAULTS.search_jobs,
-        help="parallel search shards per iteration (1 = the in-line sweep; "
-             ">1 requires the vm/trie search path)",
-    )
-    opt.add_argument(
-        "--search-executor", choices=SEARCH_EXECUTORS.names(),
-        default=_CONFIG_DEFAULTS.search_executor,
-        help="worker pool sweeping the shards when --jobs > 1: thread pool "
-             "over the shared e-graph, process pool over a pickled snapshot, "
-             "or serial (shards swept in-line)",
     )
     opt.add_argument("--output", help="write the optimized graph to this path (.json or .sexpr)")
     opt.add_argument("--json", action="store_true", help="print machine-readable stats")
@@ -223,14 +176,7 @@ def _config_from_args(args) -> TensatConfig:
         ilp_warm_start=args.ilp_warm_start,
         cycle_filter=cycle_filter,
         ilp_cycle_constraints=(cycle_filter == "none"),
-        matcher=args.matcher,
-        search_mode=args.search_mode,
         scheduler=args.scheduler,
-        multipattern_join=args.multipattern_join,
-        condition_cache=args.condition_cache,
-        shape_analysis=args.shape_analysis,
-        search_jobs=args.search_jobs,
-        search_executor=args.search_executor,
     )
 
 

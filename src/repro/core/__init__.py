@@ -11,17 +11,7 @@ from repro.core.batch import ComparisonResult, compare, compile_shared_trie, opt
 from repro.core.config import ConfigError, TensatConfig
 from repro.core.events import OptimizationObserver, PhaseTimingObserver, RecordingObserver
 from repro.core.optimizer import OptimizationResult, TensatOptimizer, optimize
-from repro.core.registry import (
-    CYCLE_FILTERS,
-    EXTRACTORS,
-    ILP_BACKENDS,
-    MATCHERS,
-    MULTIPATTERN_JOINS,
-    Registry,
-    SCHEDULERS,
-    SEARCH_EXECUTORS,
-    SEARCH_MODES,
-)
+from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, ILP_BACKENDS, Registry, SCHEDULERS
 from repro.core.session import OptimizationSession, materialize_extraction
 from repro.core.stats import OptimizationStats
 
@@ -31,8 +21,6 @@ __all__ = [
     "CYCLE_FILTERS",
     "EXTRACTORS",
     "ILP_BACKENDS",
-    "MATCHERS",
-    "MULTIPATTERN_JOINS",
     "OptimizationObserver",
     "OptimizationResult",
     "OptimizationSession",
@@ -41,8 +29,6 @@ __all__ = [
     "RecordingObserver",
     "Registry",
     "SCHEDULERS",
-    "SEARCH_EXECUTORS",
-    "SEARCH_MODES",
     "TensatConfig",
     "TensatOptimizer",
     "compare",

@@ -15,36 +15,60 @@ benchmark harness (``benchmarks/common.py``) call.
 
 from __future__ import annotations
 
+import pickle
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-from repro.core.config import TensatConfig
+from repro.core.config import ConfigError, TensatConfig
 from repro.core.session import OptimizationResult, OptimizationSession
 from repro.costs.model import AnalyticCostModel, CostModel
 from repro.egraph.machine import TrieMatcher
 from repro.egraph.multipattern import MultiPatternSearcher
-from repro.egraph.parallel import ConfigError, ensure_picklable
 from repro.egraph.runner import collect_trie_patterns
 from repro.ir.graph import TensorGraph
 from repro.rules.library import RuleSet, default_ruleset
 from repro.search.backtracking import BacktrackingResult, BacktrackingSearch
 
-__all__ = ["ComparisonResult", "compare", "compile_shared_trie", "optimize_many"]
+__all__ = [
+    "ComparisonResult",
+    "compare",
+    "compile_shared_trie",
+    "ensure_picklable",
+    "optimize_many",
+]
 
 
-def compile_shared_trie(rules: RuleSet, config: TensatConfig) -> Optional[TrieMatcher]:
-    """Compile the rule trie one run under ``config`` would build, or None.
+def ensure_picklable(components: Mapping[str, object], context: str) -> None:
+    """Raise :class:`ConfigError` naming the first unpicklable component.
 
-    Returns ``None`` when ``config`` does not use trie search (the other
-    search paths keep per-run state that is cheap to build).  The result can
-    be passed to any number of :class:`OptimizationSession` s over the same
-    rules, as long as the sessions run one after another -- interleaving
-    steps of two sessions stays *correct* (the cache self-invalidates per
-    e-graph) but forfeits the delta-search speedup.
+    Process-based execution ships state across process boundaries with
+    pickle; a user-registered component holding a lambda or an open handle
+    would otherwise die with a traceback deep inside the pool machinery,
+    far from the configuration that caused it.
     """
-    if config.matcher != "vm" or config.search_mode != "trie":
-        return None
+    for name, value in components.items():
+        try:
+            pickle.dumps(value)
+        except Exception as exc:
+            raise ConfigError(
+                f"{context} requires picklable components, but {name} "
+                f"({type(value).__name__}) is not picklable: {exc}"
+            ) from exc
+
+
+def compile_shared_trie(
+    rules: RuleSet, config: Optional[TensatConfig] = None
+) -> Optional[TrieMatcher]:
+    """Compile the rule trie a run over ``rules`` builds (None without rules).
+
+    Every configuration searches with the same trie, so ``config`` does not
+    change the result.  The trie can be passed to any number of
+    :class:`OptimizationSession` s over the same rules, as long as the
+    sessions run one after another -- interleaving steps of two sessions
+    stays *correct* (the cache self-invalidates per e-graph) but forfeits
+    the delta-search speedup.
+    """
     searcher = MultiPatternSearcher(rules.multi_rewrites) if rules.multi_rewrites else None
     patterns, _keys = collect_trie_patterns(rules.rewrites, searcher)
     return TrieMatcher(patterns) if patterns else None
@@ -119,8 +143,8 @@ def optimize_many(
     than silently dropping their event stream.
 
     ``shared_trie`` lets a long-lived caller (the optimization service)
-    pass in an already-compiled rule trie for ``rules`` under ``config``
-    instead of recompiling per call; it must come from
+    pass in an already-compiled rule trie for ``rules`` instead of
+    recompiling per call; it must come from
     :func:`compile_shared_trie` (or a :meth:`~repro.egraph.machine.TrieMatcher.fork`
     of its result) over the same rule set.
     """
@@ -131,7 +155,7 @@ def optimize_many(
     rules = rules if rules is not None else default_ruleset()
     graphs = list(graphs)
     if shared_trie is None:
-        shared_trie = compile_shared_trie(rules, config)
+        shared_trie = compile_shared_trie(rules)
 
     if jobs == 1:
         results: List[OptimizationResult] = []

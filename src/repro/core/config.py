@@ -2,63 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.core.registry import (
-    CONDITION_CACHES,
-    CYCLE_FILTERS,
-    EXTRACTORS,
-    ILP_BACKENDS,
-    MATCHERS,
-    MULTIPATTERN_JOINS,
-    SCHEDULERS,
-    SEARCH_EXECUTORS,
-    SEARCH_MODES,
-    SHAPE_ANALYSES,
-)
-from repro.egraph.parallel import ConfigError
+from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, ILP_BACKENDS, SCHEDULERS
 
-__all__ = [
-    "TensatConfig",
-    "ConfigError",
-    "MATCHER_CHOICES",
-    "SCHEDULER_CHOICES",
-    "SEARCH_MODE_CHOICES",
-    "SEARCH_EXECUTOR_CHOICES",
-    "MULTIPATTERN_JOIN_CHOICES",
-    "CONDITION_CACHE_CHOICES",
-    "CYCLE_FILTER_CHOICES",
-    "EXTRACTION_CHOICES",
-    "SHAPE_ANALYSIS_CHOICES",
-]
+__all__ = ["TensatConfig", "ConfigError"]
 
-#: Import-time snapshots of the registry names, kept for backward
-#: compatibility.  Validation and the CLI consult the *live* registries in
-#: :mod:`repro.core.registry`, so components registered after import are
-#: accepted everywhere even though they are absent from these tuples.
-MATCHER_CHOICES = MATCHERS.names()
-SCHEDULER_CHOICES = SCHEDULERS.names()
-SEARCH_MODE_CHOICES = SEARCH_MODES.names()
-MULTIPATTERN_JOIN_CHOICES = MULTIPATTERN_JOINS.names()
-CONDITION_CACHE_CHOICES = CONDITION_CACHES.names()
-CYCLE_FILTER_CHOICES = CYCLE_FILTERS.names()
-EXTRACTION_CHOICES = EXTRACTORS.names()
-SHAPE_ANALYSIS_CHOICES = SHAPE_ANALYSES.names()
-SEARCH_EXECUTOR_CHOICES = SEARCH_EXECUTORS.names()
+
+class ConfigError(ValueError):
+    """A configuration combination that cannot run as requested.
+
+    Raised instead of letting the underlying failure (a deep pickle
+    traceback inside a worker pool) surface later: the message names the
+    offending knob or component and what to change.
+    """
+
 
 #: Knob name -> the registry its value must name an entry of.
 _KNOB_REGISTRIES = (
     ("extraction", EXTRACTORS),
     ("scheduler", SCHEDULERS),
-    ("matcher", MATCHERS),
-    ("search_mode", SEARCH_MODES),
-    ("multipattern_join", MULTIPATTERN_JOINS),
-    ("condition_cache", CONDITION_CACHES),
-    ("shape_analysis", SHAPE_ANALYSES),
     ("cycle_filter", CYCLE_FILTERS),
     ("ilp_backend", ILP_BACKENDS),
-    ("search_executor", SEARCH_EXECUTORS),
 )
 
 
@@ -95,54 +61,9 @@ class TensatConfig:
     scheduler_match_limit: int = 1_000
     #: Backoff scheduler base ban length in iterations.
     scheduler_ban_length: int = 5
-    #: E-matcher implementation: "vm" (compiled virtual machine) or "naive"
-    #: (the interpretive reference matcher).  Both yield identical match
-    #: lists; "naive" exists for regression testing and benchmarking.
-    matcher: str = "vm"
-    #: How the VM matcher organises each iteration's search: "trie" (default)
-    #: merges every rule program into one shared-prefix trie per root operator
-    #: and matches all rules in a single traversal per op bucket; "per-rule"
-    #: runs each rule's own compiled program.  Ignored when matcher="naive".
-    #: All settings yield identical match lists and saturation trajectories.
-    search_mode: str = "trie"
     #: Seed each exploration iteration's search from the e-classes dirtied by
-    #: the previous iteration ("vm" only); iteration 0 is always a full search.
+    #: the previous iteration; iteration 0 is always a full search.
     delta_matching: bool = True
-    #: How a multi-pattern rule's per-source match lists are combined into
-    #: match combinations: "hash" (default) equi-joins on the shared-variable
-    #: tuple -- index the smaller match set, probe with the other, chain joins
-    #: in ascending-selectivity order for 3+ sources -- while "product"
-    #: enumerates the full Cartesian product and filters (the executable
-    #: spec).  Both produce identical combination lists, so the saturation
-    #: trajectory is join-blind; see docs/multipattern.md.
-    multipattern_join: str = "hash"
-    #: Shape/condition-check caching: "auto" (default) resolves against the
-    #: e-graph's analysis -- "off" when the shape analysis serves compiled
-    #: per-class facts (a direct check is then an O(1) lookup the memo cannot
-    #: beat), "memo" on the on-demand inference path.  "memo" memoizes
-    #: condition verdicts per (rule, canonical binding), invalidated at each
-    #: rebuild for the e-classes whose state changed; "off" re-evaluates
-    #: every check.  Identical match lists (and trajectories) in every
-    #: setting -- pinned by the golden tests; see docs/apply_plan.md.
-    condition_cache: str = "auto"
-    #: How rewrite conditions consume the tensor e-class analysis: "on"
-    #: (default) precomputes interned per-e-class facts and compiles
-    #: ``targets_shape_valid`` targets into flat programs over them; "off"
-    #: re-runs bottom-up shape inference per candidate binding (the
-    #: executable spec).  Bit-identical trajectories either way -- pinned by
-    #: the golden tests; see docs/shape_analysis.md.
-    shape_analysis: str = "on"
-    #: Number of parallel search shards per exploration iteration.  1 (the
-    #: default) sweeps the rule-trie buckets in-line; > 1 fans the buckets
-    #: out to ``search_executor`` workers and requires matcher="vm" with
-    #: search_mode="trie".  Bit-identical trajectories for every jobs count
-    #: and executor -- pinned by the golden tests; see docs/parallel.md.
-    search_jobs: int = 1
-    #: Which search executor sweeps the shards when ``search_jobs > 1``:
-    #: "thread" (shared frozen e-graph, no copying; overlaps only without a
-    #: GIL), "process" (pickled snapshot per iteration; escapes the GIL), or
-    #: "serial" (shards swept in-line -- the determinism fixture).
-    search_executor: str = "thread"
 
     # ------------------------------------------------------------------ #
     # Cycle handling
@@ -208,14 +129,6 @@ class TensatConfig:
         if self.extraction_deadline <= 0:
             raise ValueError(
                 f"extraction_deadline must be positive, got {self.extraction_deadline}"
-            )
-        if self.search_jobs < 1:
-            raise ConfigError(f"search_jobs must be >= 1, got {self.search_jobs}")
-        if self.search_jobs > 1 and not (self.matcher == "vm" and self.search_mode == "trie"):
-            raise ConfigError(
-                "search_jobs > 1 requires matcher='vm' with search_mode='trie' "
-                f"(got matcher={self.matcher!r}, search_mode={self.search_mode!r}): "
-                "only the rule trie's op buckets shard across workers"
             )
 
     def with_overrides(self, **kwargs) -> "TensatConfig":

@@ -111,13 +111,9 @@ class PhaseTimingObserver(OptimizationObserver):
     ``multi_join_seconds`` / ``condition_seconds`` attributes break
     exploration down by pipeline stage, summed over iterations
     (``per_iteration`` keeps the unsummed per-iteration values for
-    profiles); ``condition_cache_hits`` / ``condition_cache_misses``
-    aggregate the condition-check cache traffic.  When search is sharded
-    (``search_jobs > 1``), ``search_shard_seconds`` sums each worker's busy
-    time and :attr:`parallel_search_utilisation` reports how evenly that
-    work spread across the pool.  ``extraction_stage_seconds`` breaks the
-    extraction phase into its pipeline stages (prune / greedy / bnb / ilp)
-    and ``extraction_prune_ratio`` records the problem-reduction shrink.
+    profiles).  ``extraction_stage_seconds`` breaks the extraction phase
+    into its pipeline stages (prune / greedy / bnb / ilp) and
+    ``extraction_prune_ratio`` records the problem-reduction shrink.
     """
 
     def __init__(self) -> None:
@@ -128,11 +124,6 @@ class PhaseTimingObserver(OptimizationObserver):
         self.rebuild_seconds = 0.0
         self.multi_join_seconds = 0.0
         self.condition_seconds = 0.0
-        self.condition_cache_hits = 0
-        self.condition_cache_misses = 0
-        #: Busy seconds per shard index, summed over iterations (empty when
-        #: search ran unsharded).
-        self.search_shard_seconds: Dict[int, float] = {}
         self.per_iteration: List[Dict[str, float]] = []
         #: Extraction stage -> seconds, summed over extractions (empty until
         #: an extraction completes).
@@ -150,13 +141,6 @@ class PhaseTimingObserver(OptimizationObserver):
         self.rebuild_seconds += report.rebuild_seconds
         self.multi_join_seconds += report.multi_join_seconds
         self.condition_seconds += report.condition_seconds
-        self.condition_cache_hits += report.condition_cache_hits
-        self.condition_cache_misses += report.condition_cache_misses
-        for shard in getattr(report, "search_shards", ()):
-            idx = shard["shard"]
-            self.search_shard_seconds[idx] = (
-                self.search_shard_seconds.get(idx, 0.0) + shard["seconds"]
-            )
         self.per_iteration.append(
             {
                 "search_seconds": report.search_seconds,
@@ -182,17 +166,3 @@ class PhaseTimingObserver(OptimizationObserver):
     def total_seconds(self) -> float:
         """Sum of all completed phases."""
         return sum(self.phase_seconds.values())
-
-    @property
-    def parallel_search_utilisation(self) -> float:
-        """How busy the search pool was, in [0, 1]; 0.0 when never sharded.
-
-        Sum of per-shard busy seconds divided by (number of shards x the
-        search phase's wall time): 1.0 means every worker swept for the whole
-        phase (perfect balance), 1/N means one shard carried everything.
-        """
-        if not self.search_shard_seconds or self.search_seconds <= 0.0:
-            return 0.0
-        n_shards = len(self.search_shard_seconds)
-        busy = sum(self.search_shard_seconds.values())
-        return min(1.0, busy / (n_shards * self.search_seconds))

@@ -15,20 +15,16 @@ This is the paper's primary contribution assembled end-to-end:
 The phases live on :class:`~repro.core.session.OptimizationSession`;
 :class:`TensatOptimizer` is the configured front door whose
 :meth:`~TensatOptimizer.optimize` is a thin composition of the session's
-steps.  The old tuple-returning ``explore()`` / ``extract()`` helpers remain
-as deprecated shims.
+steps.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Sequence
 
 from repro.core.config import TensatConfig
-from repro.core.registry import EXTRACTORS
 from repro.core.session import OptimizationResult, OptimizationSession
 from repro.costs.model import AnalyticCostModel, CostModel
-from repro.egraph.extraction.base import ExtractionResult
 from repro.ir.graph import TensorGraph
 from repro.rules.library import RuleSet, default_ruleset
 
@@ -73,40 +69,6 @@ class TensatOptimizer:
     def optimize(self, graph: TensorGraph, observers: Sequence[object] = ()) -> OptimizationResult:
         """Optimize ``graph`` end-to-end (the one-shot session composition)."""
         return self.session(graph, observers=observers).result()
-
-    # -- deprecated tuple-returning shims ------------------------------- #
-
-    def explore(self, graph: TensorGraph):
-        """Deprecated: use ``optimizer.session(graph).explore()``.
-
-        Returns the legacy ``(egraph, root, cycle_filter, report)`` tuple;
-        the session object carries the same state as attributes.
-        """
-        warnings.warn(
-            "TensatOptimizer.explore() is deprecated; use "
-            "TensatOptimizer.session(graph) and its explore()/step() methods",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        session = self.session(graph)
-        report = session.explore()
-        return session.egraph, session.root, session.cycle_filter, report
-
-    def extract(self, egraph, root, cycle_filter) -> ExtractionResult:
-        """Deprecated: use ``session.extract()`` on an :class:`OptimizationSession`."""
-        warnings.warn(
-            "TensatOptimizer.extract() is deprecated; use "
-            "OptimizationSession.extract() (or the EXTRACTORS registry directly)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        extractor = EXTRACTORS.create(
-            self.config.extraction,
-            node_cost=self.cost_model.extraction_cost_function(),
-            config=self.config,
-            filter_list=cycle_filter.filter_list,
-        )
-        return extractor.extract(egraph, root)
 
 
 def optimize(

@@ -1,14 +1,12 @@
 """Component registries: the single source of truth for pluggable strategies.
 
-Every pluggable piece of the pipeline -- extractors, rule schedulers,
-e-matcher implementations, search organisations, multi-pattern joins, cycle
+Every pluggable piece of the pipeline -- extractors, rule schedulers, cycle
 filters, ILP backends -- is named in exactly one place: a :class:`Registry`
 in this module.  :class:`~repro.core.config.TensatConfig` validation, the
 CLI's ``choices=`` lists, and the factory functions (``make_scheduler``,
-``make_cycle_filter``, the session's extractor construction, the
-multi-pattern ``combine``) all consult these registries, so a third-party
-component plugs in with one ``register`` call and no edits to
-``optimizer.py`` or ``cli.py``::
+``make_cycle_filter``, the session's extractor construction) all consult
+these registries, so a third-party component plugs in with one
+``register`` call and no edits to ``optimizer.py`` or ``cli.py``::
 
     from repro.core.registry import SCHEDULERS
 
@@ -17,22 +15,17 @@ component plugs in with one ``register`` call and no edits to
 
 Factory signatures by registry:
 
-* ``SCHEDULERS``         -- ``factory(match_limit: int, ban_length: int) -> Scheduler``
-* ``EXTRACTORS``         -- ``factory(node_cost, config, filter_list) -> Extractor``
-* ``CYCLE_FILTERS``      -- ``factory() -> CycleFilter``
-* ``MULTIPATTERN_JOINS`` -- ``join(rule, egraph, per_source_matches, max_combinations, checker=None) -> List[MultiMatch]``
-* ``CONDITION_CACHES``   -- ``factory() -> ConditionChecker`` ("auto" is a
-  descriptor entry resolved by the runner before construction, see
-  :func:`repro.egraph.checkcache.resolve_condition_cache`)
-* ``SEARCH_EXECUTORS``   -- ``factory(jobs: int) -> search executor`` (the
-  parallel shard sweeper consulted when ``search_jobs > 1``, see
-  :mod:`repro.egraph.parallel`)
-* ``MATCHERS`` / ``SEARCH_MODES`` / ``SHAPE_ANALYSES`` / ``ILP_BACKENDS`` --
-  mode descriptors (the entry value is a description string); the
-  implementations are structural dispatch inside
-  :mod:`repro.egraph.runner` / :mod:`repro.ir.convert` /
-  :mod:`repro.egraph.extraction.ilp`, so these registries govern the
-  *valid names* only.
+* ``SCHEDULERS``    -- ``factory(match_limit: int, ban_length: int) -> Scheduler``
+* ``EXTRACTORS``    -- ``factory(node_cost, config, filter_list) -> Extractor``
+* ``CYCLE_FILTERS`` -- ``factory() -> CycleFilter``
+* ``ILP_BACKENDS``  -- mode descriptors (the entry value is a description
+  string); the implementations are structural dispatch inside
+  :mod:`repro.egraph.extraction.ilp`, so this registry governs the *valid
+  names* only.
+
+The search phase has no registry: the runner always searches with the
+shared-prefix rule trie, joins multi-pattern matches with the hash join and
+evaluates compiled conditions directly.
 
 This module must stay importable from :mod:`repro.egraph` modules' function
 bodies, so it may import from :mod:`repro.egraph` but never from
@@ -43,31 +36,18 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
-from repro.egraph.checkcache import DirectConditionChecker, MemoizedConditionChecker
 from repro.egraph.cycles import EfficientCycleFilter, NoCycleFilter, VanillaCycleFilter
 from repro.egraph.extraction.greedy import GreedyExtractor
 from repro.egraph.extraction.ilp import ILPExtractor
 from repro.egraph.extraction.portfolio import PortfolioExtractor
-from repro.egraph.multipattern import MultiPatternRewrite
-from repro.egraph.parallel import (
-    ProcessSearchExecutor,
-    SerialSearchExecutor,
-    ThreadSearchExecutor,
-)
 from repro.egraph.scheduler import BackoffScheduler, SimpleScheduler
 
 __all__ = [
     "Registry",
-    "CONDITION_CACHES",
     "CYCLE_FILTERS",
     "EXTRACTORS",
     "ILP_BACKENDS",
-    "MATCHERS",
-    "MULTIPATTERN_JOINS",
     "SCHEDULERS",
-    "SEARCH_EXECUTORS",
-    "SEARCH_MODES",
-    "SHAPE_ANALYSES",
 ]
 
 
@@ -211,63 +191,6 @@ CYCLE_FILTERS = Registry("cycle filter")
 CYCLE_FILTERS.register("efficient", EfficientCycleFilter)
 CYCLE_FILTERS.register("vanilla", VanillaCycleFilter)
 CYCLE_FILTERS.register("none", NoCycleFilter)
-
-#: Multi-pattern match-combination joins.  Entries are callables
-#: ``(rule, egraph, per_source_matches, max_combinations) -> List[MultiMatch]``
-#: and every join must return the *identical* ordered combination list (the
-#: saturation trajectory is join-blind; ``product`` is the executable spec).
-MULTIPATTERN_JOINS = Registry("multipattern join")
-MULTIPATTERN_JOINS.register("hash", MultiPatternRewrite._combine_hash)
-MULTIPATTERN_JOINS.register("product", MultiPatternRewrite._combine_product)
-
-#: Condition-check caching (paper Section 4 shape checks).  "memo" and "off"
-#: are factories ``() -> ConditionChecker``: "memo" memoizes verdicts per
-#: canonical binding with generation invalidation at each rebuild, "off"
-#: evaluates every check directly.  "auto" (the default) is a descriptor the
-#: runner resolves against the e-graph's analysis before construction --
-#: "off" when compiled shape facts make every check an O(1) lookup, "memo"
-#: otherwise (see :func:`repro.egraph.checkcache.resolve_condition_cache`).
-#: Every setting yields identical match lists, so the saturation trajectory
-#: is cache-blind (pinned by the golden tests).
-CONDITION_CACHES = Registry("condition cache")
-CONDITION_CACHES.register("auto", "off with compiled shape facts, memo otherwise")
-CONDITION_CACHES.register("memo", MemoizedConditionChecker)
-CONDITION_CACHES.register("off", DirectConditionChecker)
-
-#: E-matcher implementations (mode descriptors; dispatch lives in the runner).
-MATCHERS = Registry("matcher")
-MATCHERS.register("vm", "compiled e-matching virtual machine (docs/ematching.md)")
-MATCHERS.register("naive", "interpretive reference matcher (the executable spec)")
-
-#: Parallel search executors (``docs/parallel.md``).  Factories
-#: ``(jobs: int) -> executor``; the executor sweeps shards of trie op buckets
-#: (``run(matcher, egraph, op_candidates)``) and exposes ``prepare`` /
-#: ``close`` / per-shard timings.  Only consulted when ``search_jobs > 1``
-#: (at 1 job the runner sweeps in-line with no executor in the way):
-#: "thread" shares the frozen e-graph across a thread pool, "process" ships a
-#: pickled snapshot to a fork-spawned process pool, "serial" runs the shards
-#: in-line (the determinism fixture).  Every executor produces bit-identical
-#: match lists (pinned by the golden parity tests).
-SEARCH_EXECUTORS = Registry("search executor")
-SEARCH_EXECUTORS.register("thread", lambda jobs: ThreadSearchExecutor(jobs))
-SEARCH_EXECUTORS.register("process", lambda jobs: ProcessSearchExecutor(jobs))
-SEARCH_EXECUTORS.register("serial", lambda jobs: SerialSearchExecutor(jobs))
-
-#: VM search organisations (mode descriptors; dispatch lives in the runner).
-SEARCH_MODES = Registry("search mode")
-SEARCH_MODES.register("trie", "one shared-prefix rule trie per root operator")
-SEARCH_MODES.register("per-rule", "one compiled program per rule")
-
-#: How rewrite conditions consume the tensor e-class analysis (mode
-#: descriptors; dispatch lives in :func:`repro.ir.convert.egraph_from_graph`
-#: and :mod:`repro.rules.conditions`).  "on" compiles target patterns into
-#: flat programs over the interned per-e-class facts
-#: (:mod:`repro.egraph.shapeanalysis`); "off" keeps the on-demand bottom-up
-#: inference per candidate binding (the executable spec).  Both walk
-#: bit-identical trajectories (pinned by the golden tests).
-SHAPE_ANALYSES = Registry("shape analysis")
-SHAPE_ANALYSES.register("on", "compiled condition programs over interned per-e-class facts")
-SHAPE_ANALYSES.register("off", "on-demand shape inference per candidate binding (the spec)")
 
 #: ILP solver backends (mode descriptors; dispatch lives in extraction/ilp.py).
 ILP_BACKENDS = Registry("ilp backend")

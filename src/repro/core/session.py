@@ -101,13 +101,7 @@ def runner_limits_from_config(config: TensatConfig) -> RunnerLimits:
         scheduler=config.scheduler,
         match_limit=config.scheduler_match_limit,
         ban_length=config.scheduler_ban_length,
-        matcher=config.matcher,
-        search_mode=config.search_mode,
         use_delta=config.delta_matching,
-        multipattern_join=config.multipattern_join,
-        condition_cache=config.condition_cache,
-        search_jobs=config.search_jobs,
-        search_executor=config.search_executor,
     )
 
 
@@ -166,8 +160,8 @@ class OptimizationSession:
         Subscribers to the run's event stream (see :mod:`repro.core.events`).
     shared_trie:
         A pre-compiled rule trie to reuse (see
-        :func:`repro.core.batch.compile_shared_trie`); it must correspond to
-        ``rules`` + ``config``.  Sharing only skips recompilation -- results
+        :func:`repro.core.batch.compile_shared_trie`); it must have been
+        compiled from ``rules``.  Sharing only skips recompilation -- results
         are identical.
 
     Attributes of interest between phases: ``egraph``, ``root``,
@@ -190,9 +184,7 @@ class OptimizationSession:
         self.rules = rules if rules is not None else default_ruleset()
         self.config = config if config is not None else TensatConfig()
         self.observers = tuple(observers)
-        self.egraph, self.root = egraph_from_graph(
-            graph, shape_analysis=(self.config.shape_analysis == "on")
-        )
+        self.egraph, self.root = egraph_from_graph(graph)
         self.cycle_filter = make_cycle_filter(self.config.cycle_filter)
         self.runner = Runner(
             self.egraph,

@@ -8,7 +8,7 @@ cost/speedup of the optimized graph (Table 1, Figure 4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.egraph.runner import RunnerReport
 
@@ -31,17 +31,10 @@ class OptimizationStats:
     #: Time spent joining multi-pattern per-source matches into combinations
     #: (a sub-span of the search phase; 0.0 when no multi-pattern rule ran).
     multi_join_seconds: float = 0.0
-    #: Time spent in shape/condition checks (a sub-span of the search phase,
-    #: partially inside the multi-pattern join), including cache lookups.
+    #: Time spent filtering single-pattern rules' matches through their
+    #: conditions (a sub-span of the search phase; multi-pattern conditions
+    #: run inside the join and count in ``multi_join_seconds``).
     condition_seconds: float = 0.0
-    #: Condition-check cache traffic; with ``condition_cache="off"`` every
-    #: check counts as a miss, so hits + misses is the total check count.
-    condition_cache_hits: int = 0
-    condition_cache_misses: int = 0
-    #: Per-worker totals of the sharded search phase (``search_jobs > 1``):
-    #: one dict per shard with buckets / candidates swept and busy seconds.
-    #: Empty when search ran unsharded.
-    search_shards: List[Dict[str, object]] = field(default_factory=list)
 
     exploration_iterations: int = 0
     stop_reason: str = ""
@@ -79,9 +72,6 @@ class OptimizationStats:
             rebuild_seconds=report.rebuild_seconds,
             multi_join_seconds=report.multi_join_seconds,
             condition_seconds=report.condition_seconds,
-            condition_cache_hits=report.condition_cache_hits,
-            condition_cache_misses=report.condition_cache_misses,
-            search_shards=list(report.search_shards),
             exploration_iterations=report.num_iterations,
             stop_reason=report.stop_reason.value,
             num_enodes=report.n_enodes,
@@ -99,9 +89,6 @@ class OptimizationStats:
             "rebuild_seconds": round(self.rebuild_seconds, 4),
             "multi_join_seconds": round(self.multi_join_seconds, 4),
             "condition_seconds": round(self.condition_seconds, 4),
-            "condition_cache_hits": self.condition_cache_hits,
-            "condition_cache_misses": self.condition_cache_misses,
-            "search_shards": self.search_shards,
             "extraction_seconds": round(self.extraction_seconds, 4),
             "total_seconds": round(self.total_seconds, 4),
             "iterations": self.exploration_iterations,

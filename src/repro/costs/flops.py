@@ -8,74 +8,13 @@ The per-operator arithmetic lives on each operator's
 :class:`~repro.ir.opspec.OpSpec` (its ``flops`` / ``op_bytes`` fields);
 :func:`op_flops` and :func:`op_bytes` dispatch through the
 :data:`~repro.ir.opspec.OPS` registry.  The original per-symbol if/elif
-chains survive below as :func:`op_flops_spec` / :func:`op_bytes_spec` --
-executable specifications pinned verdict-by-verdict against the registry
-dispatch by ``tests/test_opspec.py``.
+chains are kept as a test oracle (``tests/oracles/opspec_chains.py``),
+pinned verdict-by-verdict against the registry dispatch by
+``tests/test_opspec.py``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.ir.ops import Activation, OpKind, symbol_to_op
 from repro.ir.opspec import FLOAT_BYTES, op_bytes, op_flops  # noqa: F401  (front door)
-from repro.ir.tensor import DataKind, TensorData
 
-__all__ = ["op_flops", "op_bytes", "op_flops_spec", "op_bytes_spec", "FLOAT_BYTES"]
-
-
-def _tensor_children(children: Sequence[TensorData]) -> list:
-    return [c for c in children if c.kind == DataKind.TENSOR]
-
-
-def op_flops_spec(symbol: str, children: Sequence[TensorData], output: TensorData) -> float:
-    """Executable spec: the original if/elif chain for :func:`op_flops`."""
-    op, _ = symbol_to_op(symbol)
-
-    if op == OpKind.MATMUL:
-        a, b = children[1], children[2]
-        k = a.shape[-1]
-        flops = 2.0 * output.num_elements * k
-        if children[0].kind == DataKind.INT and children[0].value != Activation.NONE:
-            flops += output.num_elements
-        return flops
-
-    if op == OpKind.CONV:
-        w = children[5]
-        _, c_in_per_group, kh, kw = w.shape
-        flops = 2.0 * output.num_elements * c_in_per_group * kh * kw
-        if children[3].kind == DataKind.INT and children[3].value != Activation.NONE:
-            flops += output.num_elements
-        return flops
-
-    if op in (OpKind.EWADD, OpKind.EWMUL):
-        return float(output.num_elements)
-
-    if op in (OpKind.RELU, OpKind.TANH, OpKind.SIGMOID):
-        # Transcendentals cost a few flops per element; a small constant factor
-        # keeps tanh/sigmoid slightly more expensive than relu.
-        factor = 1.0 if op == OpKind.RELU else 4.0
-        return factor * output.num_elements
-
-    if op in (OpKind.POOLMAX, OpKind.POOLAVG):
-        kh = children[1].value if children[1].kind == DataKind.INT else 1
-        kw = children[2].value if children[2].kind == DataKind.INT else 1
-        return float(output.num_elements) * float(kh) * float(kw)
-
-    # Data-movement operators perform no arithmetic.
-    return 0.0
-
-
-def op_bytes_spec(symbol: str, children: Sequence[TensorData], output: TensorData) -> float:
-    """Executable spec: the original if/elif chain for :func:`op_bytes`."""
-    op, _ = symbol_to_op(symbol)
-
-    if op in (OpKind.NUM, OpKind.STR, OpKind.INPUT, OpKind.WEIGHT, OpKind.NOOP):
-        return 0.0
-
-    read = sum(c.num_elements for c in _tensor_children(children))
-    if output.kind == DataKind.TUPLE:
-        written = sum(p.num_elements for p in output.parts)
-    else:
-        written = output.num_elements
-    return FLOAT_BYTES * float(read + written)
+__all__ = ["op_flops", "op_bytes", "FLOAT_BYTES"]

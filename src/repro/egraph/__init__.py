@@ -11,8 +11,6 @@ paper builds on top of ``egg`` (Willsey et al., 2020):
 * :mod:`repro.egraph.ematch`       -- e-matching (pattern search over an e-graph).
 * :mod:`repro.egraph.machine`      -- the compiled e-matching virtual machine and
   incremental (iteration-delta) search; see ``docs/ematching.md``.
-* :mod:`repro.egraph.checkcache`   -- memoized shape/condition checking with
-  generation invalidation; see ``docs/apply_plan.md``.
 * :mod:`repro.egraph.rewrite`      -- single-pattern rewrite rules.
 * :mod:`repro.egraph.multipattern` -- multi-pattern rewrite rules (paper Algorithm 1).
 * :mod:`repro.egraph.applier`      -- batched apply plans (dedup, bulk add, queued
@@ -25,15 +23,9 @@ paper builds on top of ``egg`` (Willsey et al., 2020):
 """
 
 from repro.egraph.applier import ApplyPlan, ApplyStats
-from repro.egraph.checkcache import (
-    ConditionChecker,
-    DirectConditionChecker,
-    MemoizedConditionChecker,
-)
 from repro.egraph.egraph import EClass, EGraph
 from repro.egraph.language import ENode, RecExpr
 from repro.egraph.machine import (
-    IncrementalMatcher,
     Program,
     RuleTrie,
     TrieMatcher,
@@ -50,13 +42,9 @@ from repro.egraph.unionfind import UnionFind
 __all__ = [
     "ApplyPlan",
     "ApplyStats",
-    "ConditionChecker",
-    "DirectConditionChecker",
-    "MemoizedConditionChecker",
     "EClass",
     "EGraph",
     "ENode",
-    "IncrementalMatcher",
     "Program",
     "RuleTrie",
     "TrieMatcher",

@@ -18,11 +18,11 @@ first, then executes the whole plan against the e-graph in one pass:
   queue and triggers a *single* coordinated :meth:`EGraph.rebuild` per phase.
 
 Plan execution is deterministic (entries run in insertion order), which is
-what lets the naive matcher, the per-rule VM, and the shared-prefix trie
-produce bit-for-bit identical saturation trajectories: they hand the planner
-identical ordered match lists, and everything after that is matcher-blind.
-The same contract covers the two multi-pattern join implementations (hash
-and product), which hand the planner identical ordered combination lists.
+what lets the test oracles (the interpretive matcher, the Cartesian-product
+join) drive the pipeline through bit-for-bit identical saturation
+trajectories: they hand the planner the same ordered match and combination
+lists as the trie and the hash join, and everything after that is
+search-blind.
 
 See ``docs/apply_plan.md`` for the full plan/apply/rebuild story and
 ``docs/architecture.md`` for where it sits in the pipeline.

@@ -70,11 +70,6 @@ class EGraph:
         self._dirty: Set[int] = set()
         # Unions queued by union_deferred(); applied by flush_deferred_unions().
         self._deferred_unions: List[Tuple[int, int]] = []
-        # E-classes whose condition-relevant state (existence, membership, or
-        # analysis data) changed since the last take_condition_dirty(); feeds
-        # condition-cache invalidation.  Unlike _dirty this also tracks
-        # analysis repairs, which change data without touching structure.
-        self._cond_dirty: Set[int] = set()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -158,7 +153,6 @@ class EGraph:
         self._n_enodes += 1
         self._op_classes.setdefault(canonical.op, set()).add(eclass_id)
         self._dirty.add(eclass_id)
-        self._cond_dirty.add(eclass_id)
         for child in set(canonical.children):
             self._classes[self.find(child)].parents.append((canonical, eclass_id))
 
@@ -203,7 +197,6 @@ class EGraph:
         merged, changed = self.analysis.merge(winner.data, loser_data)
         winner.data = merged
         self._dirty.add(new_root)
-        self._cond_dirty.add(new_root)
         self._pending.append(new_root)
         # Queue analysis repair when the merged data differs from *either*
         # side's previous data: ``changed`` reports only the winner's side,
@@ -400,7 +393,6 @@ class EGraph:
             if changed:
                 parent.data = merged
                 self._analysis_pending.append(parent_class)
-                self._cond_dirty.add(parent_class)
                 self.analysis.modify(self, parent_class)
 
     # ------------------------------------------------------------------ #
@@ -461,18 +453,6 @@ class EGraph:
         """Return the dirty set and reset it (one exploration iteration's delta)."""
         dirty = self.dirty_classes()
         self._dirty.clear()
-        return dirty
-
-    def take_condition_dirty(self) -> Set[int]:
-        """Canonical e-classes whose condition-relevant state changed; resets.
-
-        A superset of the structural dirty set: classes created or merged
-        into, *plus* classes whose analysis data changed during rebuild
-        repairs.  Condition caches (:mod:`repro.egraph.checkcache`) invalidate
-        memoized verdicts over these classes after each rebuild.
-        """
-        dirty = {self.find(c) for c in self._cond_dirty}
-        self._cond_dirty.clear()
         return dirty
 
     def represents(self, eclass_id: int, expr: RecExpr, index: Optional[int] = None) -> bool:

@@ -4,7 +4,7 @@ Given a pattern ``l`` (a term with variables) and an e-graph, e-matching finds
 all substitutions ``sigma`` (variable -> e-class) and root e-classes such that
 ``l[sigma]`` is represented by the root e-class (paper Section 2.2).
 
-Three search paths live behind the same contract:
+Two search paths live behind the same contract:
 
 * the **compiled virtual machine** (:mod:`repro.egraph.machine`), which runs a
   flat per-pattern instruction program over explicit registers -- this is what
@@ -12,33 +12,28 @@ Three search paths live behind the same contract:
 * the **shared-prefix rule trie** (:class:`~repro.egraph.machine.TrieMatcher`),
   which merges every rule's program into one trie per root operator and
   matches all rules in a single traversal per op bucket -- the saturation
-  runner's default search mode;
-* the **naive backtracking matcher** (:func:`naive_search_pattern` /
-  :func:`naive_search_eclass`), the original interpretive implementation that
-  re-walks the pattern tree through recursive generators.  It is kept as the
-  executable specification: the equivalence tests and ``benchmarks/
-  bench_ematch.py`` check the compiled paths against it.
+  runner's search.
 
-All three return the same canonical match sets in the same deterministic
-order (sorted by root e-class, then bindings), so they are interchangeable
-trajectory-for-trajectory in the saturation runner.
+Both return the same canonical match sets in the same deterministic order
+(sorted by root e-class, then bindings).  The original interpretive
+backtracking matcher is kept as a test oracle
+(``tests/oracles/naive_match.py``); the equivalence tests check both paths
+against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
 from repro.egraph.egraph import EGraph
-from repro.egraph.pattern import Pattern, PatternTerm, PatternVar, Substitution
+from repro.egraph.pattern import Pattern
 
 __all__ = [
     "Match",
     "search_pattern",
     "search_eclass",
     "count_matches",
-    "naive_search_pattern",
-    "naive_search_eclass",
 ]
 
 
@@ -77,91 +72,3 @@ def search_eclass(egraph: EGraph, pattern: Pattern, eclass_id: int) -> List[Matc
 
 def count_matches(egraph: EGraph, pattern: Pattern) -> int:
     return len(search_pattern(egraph, pattern))
-
-
-# --------------------------------------------------------------------- #
-# Naive backtracking matcher (reference implementation)
-# --------------------------------------------------------------------- #
-
-
-def _match_term(
-    egraph: EGraph,
-    term: PatternTerm,
-    eclass_id: int,
-    subst: Substitution,
-) -> Iterator[Substitution]:
-    """Yield all extensions of ``subst`` matching ``term`` against ``eclass_id``."""
-    eclass_id = egraph.find(eclass_id)
-
-    if isinstance(term, PatternVar):
-        bound = subst.get(term.name)
-        if bound is None:
-            new_subst = dict(subst)
-            new_subst[term.name] = eclass_id
-            yield new_subst
-        elif egraph.find(bound) == eclass_id:
-            yield subst
-        return
-
-    arity = len(term.children)
-    for enode in egraph[eclass_id].nodes:
-        if enode.op != term.op or len(enode.children) != arity:
-            continue
-        if arity == 0:
-            yield subst
-            continue
-        # Match children left-to-right, threading the substitution.
-        stack: List[Substitution] = [subst]
-        for child_term, child_class in zip(term.children, enode.children):
-            next_stack: List[Substitution] = []
-            for s in stack:
-                next_stack.extend(_match_term(egraph, child_term, child_class, s))
-            stack = next_stack
-            if not stack:
-                break
-        for s in stack:
-            yield s
-
-
-def naive_search_eclass(egraph: EGraph, pattern: Pattern, eclass_id: int) -> List[Match]:
-    """All matches of ``pattern`` rooted at ``eclass_id`` (interpretive matcher)."""
-    from repro.egraph.machine import match_sort_key
-
-    eclass_id = egraph.find(eclass_id)
-    results: List[Match] = []
-    seen = set()
-    for subst in _match_term(egraph, pattern.root, eclass_id, {}):
-        canon = {k: egraph.find(v) for k, v in subst.items()}
-        key = tuple(sorted(canon.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        results.append(Match(eclass=eclass_id, subst=canon))
-    results.sort(key=match_sort_key)
-    return results
-
-
-def naive_search_pattern(egraph: EGraph, pattern: Pattern) -> List[Match]:
-    """All matches of ``pattern`` anywhere in the e-graph (interpretive matcher).
-
-    The search is seeded from e-classes that contain at least one e-node whose
-    operator equals the pattern root's operator, which avoids a full scan per
-    e-class for selective patterns.
-    """
-    from repro.egraph.machine import match_sort_key
-
-    root = pattern.root
-    matches: List[Match] = []
-
-    if isinstance(root, PatternVar):
-        # Degenerate: matches every e-class with an empty binding to itself.
-        for eclass in egraph.classes():
-            matches.append(Match(eclass=eclass.id, subst={root.name: eclass.id}))
-        matches.sort(key=match_sort_key)
-        return matches
-
-    by_op = egraph.nodes_by_op().get(root.op, [])
-    candidate_classes = sorted({egraph.find(eclass_id) for eclass_id, _ in by_op})
-    for eclass_id in candidate_classes:
-        matches.extend(naive_search_eclass(egraph, pattern, eclass_id))
-    return matches

@@ -1,8 +1,9 @@
 """Compiled e-matching virtual machine.
 
-The classical matcher in :mod:`repro.egraph.ematch` interprets the pattern
-tree on every search, recursing through Python generators.  This module
-follows egg's design instead: each :class:`~repro.egraph.pattern.Pattern` is
+An interpretive matcher re-walks the pattern tree on every search,
+recursing through Python generators (the test oracle
+``tests/oracles/naive_match.py`` does exactly that).  This module follows
+egg's design instead: each :class:`~repro.egraph.pattern.Pattern` is
 *compiled once* into a flat program of four instructions executed over an
 explicit register list (e-class ids), with backtracking driven by an explicit
 choice-point stack rather than recursion.
@@ -25,7 +26,7 @@ Instruction set
     described by ``steps`` (a bottom-up tuple of ``(op, child_slots)``).  On a
     clean e-graph this is a pure hash-cons lookup; on a dirty one (mid
     iteration, unions pending) it degrades to a membership descent, which is
-    what the interpretive matcher effectively does.
+    what an interpretive matcher effectively does.
 
 ``Yield(names, regs)``
     Emit the substitution ``{name: regs[r]}`` and backtrack to enumerate the
@@ -34,10 +35,10 @@ Instruction set
 Incremental (delta) search
 --------------------------
 
-:class:`IncrementalMatcher` caches a pattern's match set per e-graph and, for
+:class:`TrieMatcher` caches each pattern's match set per e-graph and, for
 e-classes reported dirty since the previous search, re-searches only the
 *delta closure*: the dirty classes plus their ancestors within ``depth``
-parent hops, where ``depth`` is the pattern's operator depth.  Because
+parent hops, where ``depth`` is the patterns' operator depth.  Because
 e-graphs grow monotonically, old matches never disappear (they only
 canonicalise), so ``cached ∪ re-search(closure)`` equals a full search; see
 ``docs/ematching.md`` for the argument.
@@ -51,9 +52,9 @@ one trie per root operator: programs whose instruction prefixes coincide
 compile identically) share the corresponding ``Bind``/``Compare``/
 ``Lookup`` work, and ``Yield`` leaves carry rule ids.  One traversal of each
 op-index bucket then produces ``(rule_id, match)`` pairs for every pattern at
-once, replacing R independent VM sweeps.  :class:`TrieMatcher` is the
-bucket-level analogue of :class:`IncrementalMatcher`: per-rule caches merged
-with a re-search of each bucket's delta closure.
+once, replacing R independent VM sweeps.  :class:`TrieMatcher` keeps the
+per-rule caches and merges them with a re-search of each bucket's delta
+closure.
 
 The trie is agnostic to what a pattern *is for*: the saturation runner admits
 every single-pattern rule's LHS and every unique canonical multi-pattern
@@ -79,11 +80,9 @@ __all__ = [
     "vm_search_pattern",
     "vm_search_eclass",
     "delta_closure",
-    "IncrementalMatcher",
     "match_sort_key",
     "RuleTrie",
     "build_rule_trie",
-    "sweep_trie_buckets",
     "TrieMatcher",
 ]
 
@@ -364,52 +363,6 @@ def delta_closure(egraph: EGraph, classes: Iterable[int], depth: int) -> Set[int
     return closure
 
 
-class IncrementalMatcher:
-    """Cached match set for one pattern, updated from iteration deltas.
-
-    ``search(egraph)`` performs a full compiled search.  ``search(egraph,
-    delta=classes)`` re-searches only the delta closure and merges with the
-    (re-canonicalised) cached matches, which is equivalent because e-graph
-    growth is monotone.  The cache is tied to one e-graph; searching a
-    different e-graph resets it.
-    """
-
-    def __init__(self, pattern: Pattern) -> None:
-        self.pattern = pattern
-        self.program = compile_pattern(pattern)
-        self._egraph_ref: Optional[weakref.ref] = None
-        self._matches: Optional[list] = None
-
-    def reset(self) -> None:
-        self._egraph_ref = None
-        self._matches = None
-
-    def search(self, egraph: EGraph, delta: Optional[Set[int]] = None) -> list:
-        if self._egraph_ref is None or self._egraph_ref() is not egraph:
-            self._matches = None
-            self._egraph_ref = weakref.ref(egraph)
-
-        program = self.program
-        if delta is None or self._matches is None or program.root_op is None:
-            result = vm_search_pattern(egraph, self.pattern)
-            self._matches = result
-            return list(result)
-
-        closure = delta_closure(egraph, delta, program.depth)
-        candidates = sorted(c for c in egraph.classes_with_op(program.root_op) if c in closure)
-        fresh = vm_search_classes(egraph, program, candidates)
-
-        merged: Dict[tuple, object] = {}
-        for match in self._matches:
-            canon = match.canonical(egraph)
-            merged[match_sort_key(canon)] = canon
-        for match in fresh:
-            merged[match_sort_key(match)] = match
-        result = [merged[key] for key in sorted(merged)]
-        self._matches = result
-        return list(result)
-
-
 # --------------------------------------------------------------------- #
 # Shared-prefix rule trie
 # --------------------------------------------------------------------- #
@@ -572,27 +525,6 @@ def trie_search_classes(
         _run_trie_class(egraph, bucket, root, emit)
 
 
-def sweep_trie_buckets(
-    egraph, trie: RuleTrie, work: Sequence[Tuple[str, Sequence[int]]]
-) -> Dict[int, list]:
-    """Sweep the given ``(op, candidates)`` bucket assignments of ``trie``.
-
-    This is the shard unit of parallel search (:mod:`repro.egraph.parallel`):
-    each rule lives in exactly one bucket and deduplication in
-    :func:`trie_search_classes` is local to one (bucket, root class) sweep, so
-    any partition of the buckets across workers yields the same per-rule match
-    multiset as one serial sweep.  ``egraph`` may be a live :class:`EGraph` or
-    a read-only :class:`repro.egraph.parallel.EGraphSnapshot` -- only ``find``,
-    class node lists, and hash-cons ``lookup`` are touched, and nothing is
-    mutated.  Returns ``rule_id -> unsorted match list`` with only the rule
-    ids that produced matches.
-    """
-    out: Dict[int, list] = defaultdict(list)
-    for op, candidates in work:
-        trie_search_classes(egraph, trie.buckets[op], candidates, out)
-    return dict(out)
-
-
 class TrieMatcher:
     """Incremental matcher for many patterns at once (one trie per root op).
 
@@ -604,9 +536,8 @@ class TrieMatcher:
     ``search_all(egraph)`` walks each op bucket's trie over that op's
     candidate classes and returns one deterministically ordered match list
     per rule -- identical, rule for rule, to running each pattern's own
-    program (and to the naive matcher).  ``search_all(egraph, delta=...)``
-    re-searches only each bucket's delta closure and merges with the
-    per-rule caches, exactly like :class:`IncrementalMatcher` but with the
+    program.  ``search_all(egraph, delta=...)`` re-searches only each
+    bucket's delta closure and merges with the per-rule caches, with the
     closure walk and candidate scan paid once per bucket instead of once per
     rule.
     """
@@ -639,27 +570,16 @@ class TrieMatcher:
         clone._cache = None
         return clone
 
-    def _sweep(
-        self,
-        egraph: EGraph,
-        op_candidates: Dict[str, List[int]],
-        executor,
-    ) -> Dict[int, list]:
-        """Sweep the op buckets over their candidate lists, sharded or not.
+    def _sweep(self, egraph: EGraph, op_candidates: Dict[str, List[int]]) -> Dict[int, list]:
+        """Sweep the op buckets over their candidate lists.
 
-        With ``executor=None`` this is the original serial bucket loop.  With
-        an executor, shards come back as per-shard ``rule_id -> matches``
-        dicts and are concatenated; every consumer below either sorts the
-        final per-rule list (full path) or merges through a key-sorted dict
-        (delta path), so concatenation order cannot affect results.
+        Returns ``rule_id -> unsorted match list`` with only the rule ids
+        that produced matches.
         """
-        if executor is None:
-            return sweep_trie_buckets(egraph, self.trie, list(op_candidates.items()))
-        merged: Dict[int, list] = {}
-        for partial in executor.run(self, egraph, op_candidates):
-            for rule_id, matches in partial.items():
-                merged.setdefault(rule_id, []).extend(matches)
-        return merged
+        out: Dict[int, list] = defaultdict(list)
+        for op, candidates in op_candidates.items():
+            trie_search_classes(egraph, self.trie.buckets[op], candidates, out)
+        return out
 
     def _var_rule_matches(self, egraph: EGraph, name: str) -> list:
         from repro.egraph.ematch import Match
@@ -673,7 +593,6 @@ class TrieMatcher:
         egraph: EGraph,
         delta: Optional[Set[int]] = None,
         skip: Iterable[int] = (),
-        executor=None,
     ) -> List[list]:
         """One match list per pattern index; ``skip`` suppresses maintenance.
 
@@ -685,11 +604,6 @@ class TrieMatcher:
         undo but not free: a previously skipped index that is searched again
         has no trustworthy cache, so the next call falls back to a full
         search for every pattern.
-
-        ``executor`` (a :mod:`repro.egraph.parallel` search executor, or
-        ``None`` for the in-line sweep) only changes *where* bucket sweeps
-        run; candidate selection, cache merging, and the deterministic
-        per-rule sort all stay here on the driver.
         """
         if self._egraph_ref is None or self._egraph_ref() is not egraph:
             self._cache = None
@@ -708,7 +622,7 @@ class TrieMatcher:
             op_candidates = {
                 op: sorted(egraph.classes_with_op(op)) for op in self.trie.buckets
             }
-            swept = self._sweep(egraph, op_candidates, executor)
+            swept = self._sweep(egraph, op_candidates)
             per_rule: Dict[int, list] = {i: swept.get(i, []) for i in range(n)}
             for i in range(n):
                 if i not in skipped:
@@ -721,10 +635,7 @@ class TrieMatcher:
             ]
             return [[] if m is None else list(m) for m in self._cache]
 
-        # Delta path: one closure walk per distinct bucket depth.  Closures
-        # need the live e-graph's parent lists, so they are always computed
-        # here on the driver; workers only ever see explicit candidate lists,
-        # which is why delta search shards exactly like full search.
+        # Delta path: one closure walk per distinct bucket depth.
         closures: Dict[int, Set[int]] = {}
         op_candidates = {}
         for op, bucket in self.trie.buckets.items():
@@ -734,7 +645,7 @@ class TrieMatcher:
             candidates = sorted(c for c in egraph.classes_with_op(op) if c in closure)
             if candidates:
                 op_candidates[op] = candidates
-        swept = self._sweep(egraph, op_candidates, executor)
+        swept = self._sweep(egraph, op_candidates)
         fresh: Dict[int, list] = {i: swept.get(i, []) for i in range(n)}
 
         results: List[Optional[list]] = []

@@ -12,66 +12,38 @@ The application algorithm follows the paper:
    unique canonical patterns (so syntactically identical sources across rules
    and across the outputs of one rule are only e-matched once).
 2. Each iteration, run the single-pattern e-matcher on every canonical
-   pattern.  In the runner's default trie search mode the canonical patterns
-   are admitted into the shared-prefix rule trie, so their matches fall out
-   of the same one-traversal-per-op-bucket sweep that serves the
-   single-pattern rules (see ``docs/multipattern.md``).
+   pattern.  The runner admits the canonical patterns into its shared-prefix
+   rule trie, so their matches fall out of the same
+   one-traversal-per-op-bucket sweep that serves the single-pattern rules
+   (see ``docs/multipattern.md``).
 3. For every rule, combine the (decanonicalized) matches of its source
    patterns: keep exactly the combinations whose shared variables map to the
    same e-class, and apply those.
 
-Step 3 has two interchangeable implementations behind
-:meth:`MultiPatternRewrite.combine`:
-
-* ``join="product"`` -- the executable specification: enumerate the full
-  Cartesian product of the per-source match lists and filter incompatible
-  combinations (paper Algorithm 1, lines 10--15 verbatim);
-* ``join="hash"`` (the runner's default) -- an indexed equi-join on the
-  shared-variable tuple: hash the smaller side, probe with the larger, and
-  chain joins in ascending match-count order for rules with three or more
-  sources.  The output list is bit-for-bit identical to the product path
-  (same combinations, same order, same ``max_combinations`` truncation), it
-  just never materialises the quadratic product.  ``docs/multipattern.md``
-  works through the algorithm and the order-parity argument.
+Step 3 is :meth:`MultiPatternRewrite.combine`, an indexed equi-join on the
+shared-variable tuple: hash the smaller side, probe with the larger, and
+chain joins in ascending match-count order for rules with three or more
+sources.  Its output list is identical to paper Algorithm 1's Cartesian
+product + filter (same combinations, same order, same ``max_combinations``
+truncation) -- the product is kept as a test oracle -- it just never
+materialises the quadratic product.  ``docs/multipattern.md`` works through
+the algorithm and the order-parity argument.
 """
 
 from __future__ import annotations
 
-import inspect
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.egraph.egraph import EGraph
-from repro.egraph.ematch import Match, naive_search_pattern, search_pattern
-from repro.egraph.pattern import Pattern, Substitution
+from repro.egraph.ematch import Match, search_pattern
+from repro.egraph.pattern import Pattern
 
 __all__ = ["MultiMatch", "MultiPatternRewrite", "MultiPatternSearcher"]
 
-#: A multi-pattern rule's precondition.  Under the runner's default
-#: ``condition_cache="memo"`` a condition must be a pure function of the
-#: e-graph state of the e-classes the combination *binds* (its substitution
-#: values) -- not of the matched root classes or global e-graph state; see
-#: :mod:`repro.egraph.checkcache`.  Conditions that need the old
-#: re-evaluate-every-search behaviour require ``condition_cache="off"``.
+#: A multi-pattern rule's precondition, evaluated once per compatible
+#: combination.
 MultiCondition = Callable[[EGraph, "MultiMatch"], bool]
-
-
-def _join_accepts_checker(join_fn) -> bool:
-    """Whether a registered join accepts the ``checker`` keyword.
-
-    Pre-checker joins (the four-argument registry signature) remain valid;
-    they just evaluate their conditions uncached.  Called once per rule per
-    combine, so the signature inspection is not worth caching (a cache keyed
-    on function objects would pin unregistered joins alive).
-    """
-    try:
-        parameters = inspect.signature(join_fn).parameters
-    except (TypeError, ValueError):  # builtins / C callables
-        return False
-    return "checker" in parameters or any(
-        p.kind == inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
 
 
 @dataclass(frozen=True)
@@ -128,15 +100,6 @@ class MultiPatternRewrite:
         self.source_variables: Tuple[Tuple[str, ...], ...] = tuple(
             tuple(p.variables()) for p in self.sources
         )
-        # All source variables in first-appearance order: a combination binds
-        # exactly these, so condition-cache binding keys are built
-        # positionally in this order.
-        all_vars: List[str] = []
-        for per_source in self.source_variables:
-            for name in per_source:
-                if name not in all_vars:
-                    all_vars.append(name)
-        self.all_source_variables: Tuple[str, ...] = tuple(all_vars)
         # Cached for the apply planner: the variables the targets consume, in
         # a deterministic order (cycle-filter leaves and the dedup key).
         target_vars: List[str] = []
@@ -179,94 +142,18 @@ class MultiPatternRewrite:
             subst={rename_map[var]: cls for var, cls in match.subst.items()},
         )
 
-    @staticmethod
-    def _compatible(substs: Sequence[Substitution]) -> Optional[Substitution]:
-        """Merge substitutions; return None when shared variables disagree."""
-        merged: Dict[str, int] = {}
-        for subst in substs:
-            for var, cls in subst.items():
-                existing = merged.get(var)
-                if existing is None:
-                    merged[var] = cls
-                elif existing != cls:
-                    return None
-        return merged
-
-    def _condition_ok(self, egraph: EGraph, multi: MultiMatch, checker=None) -> bool:
-        """Evaluate (or recall) this rule's condition for one combination."""
-        if self.condition is None:
-            return True
-        if checker is None:
-            return self.condition(egraph, multi)
-        return checker.check(id(self), self.condition, egraph, multi, self.all_source_variables)
-
     def combine(
         self,
         egraph: EGraph,
         per_source_matches: Sequence[Sequence[Match]],
         max_combinations: Optional[int] = None,
-        join: str = "product",
-        checker=None,
     ) -> List[MultiMatch]:
         """Combine the per-source match lists into compatible :class:`MultiMatch` es.
 
-        ``join`` names an entry of the
-        :data:`repro.core.registry.MULTIPATTERN_JOINS` registry (built-ins:
-        ``"product"``, the executable spec enumerating the Cartesian product
-        and filtering, and ``"hash"``, an indexed equi-join on the shared
-        variables).  Every join must return the *same list* -- same
-        combinations, same order, same ``max_combinations`` truncation -- so
-        the saturation trajectory is join-blind; the equivalence is
-        property-tested in ``tests/test_multipattern.py``.
-
-        ``checker`` optionally memoizes the per-combination condition checks
-        (:mod:`repro.egraph.checkcache`); verdicts are binding-canonical, so
-        the combination lists are identical with or without it.  Registered
-        joins written against the pre-checker four-argument signature are
-        still supported: the checker is only passed to joins that accept it
-        (their conditions then evaluate uncached).
-        """
-        from repro.core.registry import MULTIPATTERN_JOINS
-
-        join_fn = MULTIPATTERN_JOINS.get(join)
-        if checker is not None and _join_accepts_checker(join_fn):
-            return join_fn(self, egraph, per_source_matches, max_combinations, checker=checker)
-        return join_fn(self, egraph, per_source_matches, max_combinations)
-
-    def _combine_product(
-        self,
-        egraph: EGraph,
-        per_source_matches: Sequence[Sequence[Match]],
-        max_combinations: Optional[int] = None,
-        checker=None,
-    ) -> List[MultiMatch]:
-        """Cartesian-product the per-source matches and keep compatible ones."""
-        combos: List[MultiMatch] = []
-        count = 0
-        for combination in itertools.product(*per_source_matches):
-            count += 1
-            if max_combinations is not None and count > max_combinations:
-                break
-            if self.skip_identical and len(combination) > 1:
-                if len({m.eclass for m in combination}) == 1:
-                    continue
-            merged = self._compatible([m.subst for m in combination])
-            if merged is None:
-                continue
-            multi = MultiMatch(eclasses=tuple(m.eclass for m in combination), subst=merged)
-            if not self._condition_ok(egraph, multi, checker):
-                continue
-            combos.append(multi)
-        return combos
-
-    def _combine_hash(
-        self,
-        egraph: EGraph,
-        per_source_matches: Sequence[Sequence[Match]],
-        max_combinations: Optional[int] = None,
-        checker=None,
-    ) -> List[MultiMatch]:
-        """Indexed join over the per-source matches; equals the product path.
+        An indexed equi-join.  Its list is identical -- same combinations,
+        same order, same ``max_combinations`` truncation -- to paper
+        Algorithm 1's Cartesian product + filter; ``tests/test_multipattern.py``
+        property-tests the equivalence against that oracle.
 
         Sources join in ascending match-count order.  Each step equi-joins
         the accumulated partial combinations with the next source's matches
@@ -378,26 +265,22 @@ class MultiPatternRewrite:
             keyed.append((tuple(positions), subst))
         keyed.sort(key=lambda entry: entry[0])
 
+        condition = self.condition
         combos: List[MultiMatch] = []
         for positions, subst in keyed:
             eclasses = tuple(per_source_matches[j][positions[j]].eclass for j in range(k))
             if self.skip_identical and k > 1 and len(set(eclasses)) == 1:
                 continue
             multi = MultiMatch(eclasses=eclasses, subst=subst)
-            if not self._condition_ok(egraph, multi, checker):
+            if condition is not None and not condition(egraph, multi):
                 continue
             combos.append(multi)
         return combos
 
-    def search(
-        self,
-        egraph: EGraph,
-        max_combinations: Optional[int] = None,
-        join: str = "product",
-    ) -> List[MultiMatch]:
+    def search(self, egraph: EGraph, max_combinations: Optional[int] = None) -> List[MultiMatch]:
         """Stand-alone search (used by tests); the runner goes through :class:`MultiPatternSearcher`."""
         per_source = [search_pattern(egraph, p) for p in self.sources]
-        return self.combine(egraph, per_source, max_combinations, join=join)
+        return self.combine(egraph, per_source, max_combinations)
 
     # ------------------------------------------------------------------ #
     # Application
@@ -439,15 +322,13 @@ class MultiPatternSearcher:
     The two halves are exposed separately so the runner can fuse the first
     into its trie sweep:
 
-    * :meth:`search_canonical` -- e-match every unique canonical pattern
-      (compiled VM with optional delta seeding, or the naive matcher);
-      alternatively the runner admits :meth:`canonical_patterns` into its
-      :class:`~repro.egraph.machine.TrieMatcher` and obtains the same match
-      lists from the single shared-prefix trie traversal that serves the
-      single-pattern rules;
+    * :meth:`search_canonical` -- e-match every unique canonical pattern with
+      the compiled VM; the runner instead admits :meth:`canonical_patterns`
+      into its :class:`~repro.egraph.machine.TrieMatcher` and obtains the
+      same match lists from the single shared-prefix trie traversal that
+      serves the single-pattern rules;
     * :meth:`combine_matches` -- decanonicalize and join each rule's
-      per-source lists into :class:`MultiMatch` es (hash join by default in
-      the runner; Cartesian product as the executable spec).
+      per-source lists into :class:`MultiMatch` es.
 
     :meth:`search` chains the two for stand-alone use.
     """
@@ -466,10 +347,6 @@ class MultiPatternSearcher:
                 self._canonical_patterns.setdefault(key, canonical)
                 entries.append((key, rename_map))
             self._rule_sources.append(entries)
-        # One incremental matcher per unique canonical pattern, built on first
-        # use: the runner's default trie path obtains canonical matches from
-        # its own TrieMatcher and never needs these.
-        self._matchers: Dict[str, object] = {}
 
     @property
     def num_unique_patterns(self) -> int:
@@ -483,31 +360,11 @@ class MultiPatternSearcher:
         """
         return list(self._canonical_patterns.items())
 
-    def search_canonical(
-        self,
-        egraph: EGraph,
-        delta=None,
-        matcher: str = "vm",
-    ) -> Dict[str, List[Match]]:
-        """E-match every unique canonical source pattern once.
-
-        ``matcher`` selects the compiled VM (default) or the naive reference
-        matcher; with the VM, ``delta`` optionally restricts the search to the
-        e-classes dirtied since the previous call (plus cached matches).
-        """
-        if matcher == "naive":
-            return {
-                key: naive_search_pattern(egraph, pattern)
-                for key, pattern in self._canonical_patterns.items()
-            }
-        from repro.egraph.machine import IncrementalMatcher
-
-        for key, pattern in self._canonical_patterns.items():
-            if key not in self._matchers:
-                self._matchers[key] = IncrementalMatcher(pattern)
+    def search_canonical(self, egraph: EGraph) -> Dict[str, List[Match]]:
+        """E-match every unique canonical source pattern once (full search)."""
         return {
-            key: self._matchers[key].search(egraph, delta=delta)
-            for key in self._canonical_patterns
+            key: search_pattern(egraph, pattern)
+            for key, pattern in self._canonical_patterns.items()
         }
 
     def combine_matches(
@@ -515,11 +372,8 @@ class MultiPatternSearcher:
         egraph: EGraph,
         canonical_matches: Dict[str, List[Match]],
         max_combinations: Optional[int] = None,
-        join: str = "product",
-        checker=None,
     ) -> List[Tuple[MultiPatternRewrite, List[MultiMatch]]]:
-        """Decanonicalize and combine per-rule; ``join`` / ``checker`` as in
-        :meth:`MultiPatternRewrite.combine`.
+        """Decanonicalize and combine per rule, as :meth:`MultiPatternRewrite.combine`.
 
         ``canonical_matches`` maps each canonical pattern key (see
         :meth:`canonical_patterns`) to its match list, from whichever search
@@ -534,18 +388,11 @@ class MultiPatternSearcher:
                     for m in canonical_matches[key]
                 ]
                 per_source.append(decanonicalized)
-            combos = rule.combine(egraph, per_source, max_combinations, join=join, checker=checker)
-            results.append((rule, combos))
+            results.append((rule, rule.combine(egraph, per_source, max_combinations)))
         return results
 
     def search(
-        self,
-        egraph: EGraph,
-        max_combinations: Optional[int] = None,
-        delta=None,
-        matcher: str = "vm",
-        join: str = "product",
+        self, egraph: EGraph, max_combinations: Optional[int] = None
     ) -> List[Tuple[MultiPatternRewrite, List[MultiMatch]]]:
         """One iteration's worth of matches for every rule (search + combine)."""
-        canonical_matches = self.search_canonical(egraph, delta=delta, matcher=matcher)
-        return self.combine_matches(egraph, canonical_matches, max_combinations, join=join)
+        return self.combine_matches(egraph, self.search_canonical(egraph), max_combinations)

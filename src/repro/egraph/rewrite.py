@@ -19,13 +19,7 @@ from repro.egraph.pattern import Pattern
 
 __all__ = ["Rewrite", "bidirectional"]
 
-#: A rewrite's precondition.  Under the runner's default
-#: ``condition_cache="memo"`` a condition must be a pure function of the
-#: e-graph state of the e-classes its match *binds* (the substitution
-#: values, e.g. their analysis data) -- not of ``match.eclass`` or global
-#: e-graph state; see :mod:`repro.egraph.checkcache`.  Conditions that need
-#: the old re-evaluate-every-search behaviour require
-#: ``condition_cache="off"``.
+#: A rewrite's precondition, re-evaluated for every match of every search.
 Condition = Callable[[EGraph, Match], bool]
 
 
@@ -54,9 +48,6 @@ class Rewrite:
         # the identity/variables that determine the RHS instantiation (dedup key).
         self.rhs_variables: Tuple[str, ...] = tuple(self.rhs.variables())
         self.rhs_key: str = str(self.rhs)
-        # Cached for the condition-check cache: every match binds exactly the
-        # LHS variables, so binding keys are built positionally in this order.
-        self.lhs_variables: Tuple[str, ...] = tuple(self.lhs.variables())
 
     @classmethod
     def parse(
@@ -77,22 +68,17 @@ class Rewrite:
         """Find all matches of the source pattern (compiled VM)."""
         return self.filter_matches(egraph, search_pattern(egraph, self.lhs))
 
-    def filter_matches(self, egraph: EGraph, matches: List[Match], checker=None) -> List[Match]:
+    def filter_matches(self, egraph: EGraph, matches: List[Match]) -> List[Match]:
         """Apply this rule's condition to a raw match list.
 
-        Without a ``checker``, conditions are re-evaluated on every search:
-        e-class analysis data can change between iterations, so a condition
-        that once failed may later pass for the same canonical match.  With a
-        :class:`~repro.egraph.checkcache.ConditionChecker` the verdicts are
-        memoized per canonical binding and invalidated when a bound class
-        changes, which yields the same match lists without the re-evaluation.
+        Conditions are re-evaluated on every search: e-class analysis data
+        can change between iterations, so a condition that once failed may
+        later pass for the same canonical match.
         """
         if self.condition is None:
             return list(matches)
-        if checker is None:
-            return [m for m in matches if self.condition(egraph, m)]
-        rule_key, condition, var_order = id(self), self.condition, self.lhs_variables
-        return [m for m in matches if checker.check(rule_key, condition, egraph, m, var_order)]
+        condition = self.condition
+        return [m for m in matches if condition(egraph, m)]
 
     def apply_match(self, egraph: EGraph, match: Match) -> Tuple[int, bool]:
         """Apply this rewrite at ``match``.

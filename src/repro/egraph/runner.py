@@ -15,10 +15,9 @@ Each iteration is a deterministic **search -> schedule -> plan -> apply ->
 rebuild** pipeline:
 
 1. **search** -- every rule's source pattern is matched against the *frozen*
-   e-graph (no mutation interleaves with matching).  Three search paths exist
-   behind one contract -- the naive interpretive matcher, the per-rule
-   compiled VM, and the shared-prefix rule trie -- and all three return
-   identical ordered match lists, so the trajectory is search-path-blind.
+   e-graph (no mutation interleaves with matching) in one traversal of the
+   shared-prefix rule trie per op bucket, seeded from the previous
+   iteration's delta; each rule's condition then filters its match list.
 2. **schedule** -- a :class:`~repro.egraph.scheduler.Scheduler` strategy
    (simple or egg-style backoff) decides which rules' matches proceed.
 3. **plan** -- surviving matches are collected into an
@@ -34,12 +33,10 @@ Multi-pattern rules grow the e-graph double-exponentially (paper Section 4),
 so they are only applied for the first ``k_multi`` iterations; afterwards only
 single-pattern rules run.  Their plan entries precede the single-pattern
 entries so a node-limit truncation spends the ``k_multi`` budget first.
-In trie search mode their canonical source patterns are admitted into the
-shared-prefix rule trie, so the one traversal per op bucket that matches the
-single-pattern rules yields the multi-pattern source matches too; per-rule
-combination is an indexed hash join on the shared variables by default
-(``multipattern_join="hash"``), with the Cartesian-product join kept as the
-executable spec (see ``docs/multipattern.md``).
+Their canonical source patterns are admitted into the shared-prefix rule
+trie, so the one traversal per op bucket that matches the single-pattern
+rules yields the multi-pattern source matches too; per-rule combination is
+an indexed hash join on the shared variables (see ``docs/multipattern.md``).
 
 Cycle filtering (paper Section 5.2) plugs in as a :class:`~repro.egraph.cycles.CycleFilter`
 strategy: a per-iteration setup hook, a per-match ``allows`` check, and a
@@ -54,13 +51,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.egraph.applier import ApplyPlan
-from repro.egraph.checkcache import resolve_condition_cache
 from repro.egraph.cycles import CycleFilter, FilterList, NoCycleFilter
 from repro.egraph.egraph import EGraph
-from repro.egraph.ematch import naive_search_pattern
-from repro.egraph.machine import IncrementalMatcher, TrieMatcher
+from repro.egraph.machine import TrieMatcher
 from repro.egraph.multipattern import MultiPatternRewrite, MultiPatternSearcher
-from repro.egraph.parallel import ConfigError, ensure_picklable
 from repro.egraph.rewrite import Rewrite
 from repro.egraph.scheduler import Scheduler, make_scheduler
 
@@ -108,22 +102,15 @@ class IterationReport:
     #: Time spent joining multi-pattern per-source matches into combinations
     #: (a sub-span of ``search_seconds``; 0.0 when no multi rules ran).
     multi_join_seconds: float = 0.0
-    #: Time spent in shape/condition checks (a sub-span of ``search_seconds``,
-    #: partially inside ``multi_join_seconds``), including cache lookups.
+    #: Time spent filtering single-pattern rules' matches through their
+    #: conditions (a sub-span of ``search_seconds``; multi-pattern conditions
+    #: run inside the join and count in ``multi_join_seconds``).
     condition_seconds: float = 0.0
-    #: Condition-check cache traffic (misses count direct evaluations too,
-    #: so hits + misses is the number of condition checks this iteration).
-    condition_cache_hits: int = 0
-    condition_cache_misses: int = 0
     #: True when this iteration searched the whole e-graph; False when the
     #: search was seeded from the previous iteration's delta.
     full_search: bool = True
     #: Size of the previous iteration's delta (-1 for a full search).
     n_delta_classes: int = -1
-    #: Per-shard search accounting when ``search_jobs > 1`` (one dict per
-    #: shard: index, bucket count, candidate count, in-worker wall seconds);
-    #: empty for the unsharded in-line sweep.
-    search_shards: List[Dict[str, object]] = field(default_factory=list)
 
 
 @dataclass
@@ -141,11 +128,6 @@ class RunnerReport:
     rebuild_seconds: float = 0.0
     multi_join_seconds: float = 0.0
     condition_seconds: float = 0.0
-    condition_cache_hits: int = 0
-    condition_cache_misses: int = 0
-    #: Per-shard totals across all iterations (empty when search ran
-    #: unsharded): shard index, buckets swept, candidates swept, busy seconds.
-    search_shards: List[Dict[str, object]] = field(default_factory=list)
 
     @property
     def num_iterations(self) -> int:
@@ -161,12 +143,9 @@ class RunnerReport:
             "rebuild_seconds": round(self.rebuild_seconds, 4),
             "multi_join_seconds": round(self.multi_join_seconds, 4),
             "condition_seconds": round(self.condition_seconds, 4),
-            "condition_cache_hits": self.condition_cache_hits,
-            "condition_cache_misses": self.condition_cache_misses,
             "enodes": self.n_enodes,
             "eclasses": self.n_eclasses,
             "filtered_nodes": self.n_filtered,
-            "search_shards": self.search_shards,
         }
 
 
@@ -181,11 +160,6 @@ class RunnerLimits:
     #: Safety valve on the Cartesian product size per multi-pattern rule per
     #: iteration; ``None`` reproduces the paper exactly (no cap).
     max_multi_combinations: Optional[int] = None
-    #: How a multi-pattern rule's per-source match lists are combined:
-    #: "hash" (default) equi-joins on the shared-variable tuple, indexing the
-    #: smaller side; "product" enumerates the Cartesian product and filters
-    #: (the executable spec).  Both produce identical combination lists.
-    multipattern_join: str = "hash"
     #: Rule scheduling: "simple" applies every rule every iteration (the
     #: paper's behaviour); "backoff" temporarily bans single-pattern rules
     #: whose match count explodes, like egg's default BackoffScheduler.
@@ -194,41 +168,13 @@ class RunnerLimits:
     match_limit: int = 1_000
     #: Backoff scheduler: base ban length in iterations (doubles per offence).
     ban_length: int = 5
-    #: E-matcher implementation: "vm" (compiled virtual machine, the default)
-    #: or "naive" (the interpretive reference matcher).  Both produce the same
-    #: match lists, so the exploration trajectory is identical.
-    matcher: str = "vm"
-    #: Shape/condition-check caching: "auto" (default) resolves against the
-    #: e-graph's analysis -- "off" when it serves compiled per-class shape
-    #: facts (checks are O(1)-ish lookups the memo cannot beat), "memo"
-    #: otherwise; "memo" memoizes verdicts per canonical binding,
-    #: invalidated when a bound e-class changes at a rebuild; "off"
-    #: re-evaluates every check.  Identical match lists in every setting, so
-    #: the trajectory is cache-blind.
-    condition_cache: str = "auto"
-    #: How the VM organises the search: "trie" (default) merges all rule
-    #: programs into one shared-prefix trie per root operator and matches
-    #: every rule in a single traversal of each op bucket; "per-rule" runs
-    #: each rule's own program independently.  Ignored by the naive matcher.
-    search_mode: str = "trie"
     #: Seed each iteration's search from the e-classes dirtied by the previous
-    #: one (VM only).  Iteration 0 always searches the full e-graph.
+    #: one.  Iteration 0 always searches the full e-graph.
     use_delta: bool = True
     #: Fall back to a full search when the delta covers more than this
     #: fraction of all e-classes (a large union cascade touched everything, so
     #: the closure walk would cost more than it saves).
     delta_full_fraction: float = 0.5
-    #: Number of parallel search shards.  1 (the default) sweeps the trie
-    #: buckets in-line with no executor in the way; > 1 requires
-    #: ``matcher="vm"`` + ``search_mode="trie"`` (the only path whose search
-    #: unit -- the op bucket -- shards) and produces bit-identical match
-    #: lists for every jobs count and executor (``docs/parallel.md``).
-    search_jobs: int = 1
-    #: Which :data:`~repro.core.registry.SEARCH_EXECUTORS` entry sweeps the
-    #: shards when ``search_jobs > 1``: "thread" (shared frozen e-graph),
-    #: "process" (pickled snapshot per iteration, escapes the GIL), or
-    #: "serial" (in-line, the determinism fixture).
-    search_executor: str = "thread"
 
 
 def make_cycle_filter(kind: str) -> CycleFilter:
@@ -243,7 +189,7 @@ def make_cycle_filter(kind: str) -> CycleFilter:
 def collect_trie_patterns(
     rewrites: Sequence[Rewrite], multi_searcher: Optional[MultiPatternSearcher]
 ) -> "tuple[list, List[str]]":
-    """The pattern list a trie-mode runner compiles, plus the multi keys.
+    """The pattern list a runner compiles into its trie, plus the multi keys.
 
     Single-pattern LHS patterns come first (index == rule index); the unique
     canonical multi-pattern source patterns follow, keyed so the runner can
@@ -283,9 +229,9 @@ class Runner:
         Observers are notified synchronously and must not mutate the e-graph.
     trie_matcher:
         A pre-compiled :class:`~repro.egraph.machine.TrieMatcher` to use
-        instead of compiling one (trie search mode only).  It must have been
-        built over :func:`collect_trie_patterns` of the *same* rules; the
-        batch front door uses this to share one compiled trie across runs.
+        instead of compiling one.  It must have been built over
+        :func:`collect_trie_patterns` of the *same* rules; the batch front
+        door uses this to share one compiled trie across runs.
         The matcher's per-e-graph cache resets itself on a new e-graph, so
         sharing never changes results.
     """
@@ -300,95 +246,32 @@ class Runner:
         observers: Sequence[object] = (),
         trie_matcher: Optional[TrieMatcher] = None,
     ) -> None:
-        # Validation is registry-backed so third-party modes registered in
-        # repro.core.registry are accepted here without edits (lazy import:
-        # repro.egraph must stay importable without repro.core).
+        # Lazy import: repro.egraph must stay importable without repro.core.
         from repro.core.events import dispatch_event
-        from repro.core.registry import (
-            CONDITION_CACHES,
-            MATCHERS,
-            MULTIPATTERN_JOINS,
-            SEARCH_EXECUTORS,
-            SEARCH_MODES,
-        )
 
         self._dispatch = dispatch_event
         self.egraph = egraph
         self.rewrites = list(rewrites)
         self.multi_rewrites = list(multi_rewrites)
         self.limits = limits if limits is not None else RunnerLimits()
-        MATCHERS.check(self.limits.matcher)
-        SEARCH_MODES.check(self.limits.search_mode)
-        MULTIPATTERN_JOINS.check(self.limits.multipattern_join)
-        # Shape/condition-check path: a memoizing cache or the direct
-        # evaluator, both accounting time and call counts identically.
-        # "auto" resolves against the e-graph's analysis (off when it serves
-        # compiled shape facts, memo otherwise); the registry check runs on
-        # the un-resolved name so unknown kinds still fail loudly.
-        CONDITION_CACHES.check(self.limits.condition_cache)
-        self.condition_checker = CONDITION_CACHES.create(
-            resolve_condition_cache(self.limits.condition_cache, egraph.analysis)
-        )
-        # Raises on an unknown scheduler kind, same as the matcher checks.
+        # Raises on an unknown scheduler kind.
         self.scheduler: Scheduler = make_scheduler(
             self.limits.scheduler, self.limits.match_limit, self.limits.ban_length
         )
         self.cycle_filter = cycle_filter if cycle_filter is not None else NoCycleFilter()
         self.observers = tuple(observers)
         self._multi_searcher = MultiPatternSearcher(self.multi_rewrites) if self.multi_rewrites else None
-        # Compiled search state (VM only).  "trie": one shared-prefix trie
-        # matcher over all single-pattern rules *plus* the unique canonical
-        # multi-pattern source patterns (admitted at indices >= n_single, so
-        # one traversal per op bucket yields their matches too); "per-rule":
-        # one incremental matcher per single rule, with the multi searcher
-        # running its own per-canonical-pattern matchers.
+        # One shared-prefix trie matcher over all single-pattern rules *plus*
+        # the unique canonical multi-pattern source patterns (admitted at
+        # indices >= n_single, so one traversal per op bucket yields their
+        # matches too).
         self._trie_matcher: Optional[TrieMatcher] = None
-        self._matchers: List[IncrementalMatcher] = []
         self._n_single = len(self.rewrites)
-        self._multi_keys: List[str] = []
-        if self.limits.matcher == "vm":
-            if self.limits.search_mode == "trie":
-                patterns, self._multi_keys = collect_trie_patterns(self.rewrites, self._multi_searcher)
-                if patterns:
-                    self._trie_matcher = trie_matcher if trie_matcher is not None else TrieMatcher(patterns)
-            else:
-                self._matchers = [IncrementalMatcher(rw.lhs) for rw in self.rewrites]
-        # Parallel search: build the shard executor eagerly so configuration
-        # problems (unknown executor, unshardable search path, unpicklable
-        # user-registered components under process mode) surface here as
-        # ConfigError, not mid-run from inside a worker pool.
-        self._search_executor = None
-        if self.limits.search_jobs != 1:
-            SEARCH_EXECUTORS.check(self.limits.search_executor)
-            if self.limits.search_jobs < 1:
-                raise ConfigError(f"search_jobs must be >= 1, got {self.limits.search_jobs}")
-            if self._trie_matcher is None:
-                raise ConfigError(
-                    "search_jobs > 1 requires matcher='vm' with search_mode='trie' "
-                    f"(got matcher={self.limits.matcher!r}, "
-                    f"search_mode={self.limits.search_mode!r}): only the trie's "
-                    "op buckets shard across workers"
-                )
-            self._search_executor = SEARCH_EXECUTORS.create(
-                self.limits.search_executor, jobs=self.limits.search_jobs
-            )
-            if self._search_executor.kind == "process":
-                # The patterns cross the process boundary; the other pluggable
-                # components stay on the driver but are preflighted too so a
-                # custom scheduler/condition/filter that cannot pickle fails
-                # with a named ConfigError instead of surprising a later
-                # snapshot or fan-out path.
-                ensure_picklable(
-                    {
-                        "the rule scheduler": self.scheduler,
-                        "the condition checker": self.condition_checker,
-                        "the cycle filter": self.cycle_filter,
-                    },
-                    "search_executor='process'",
-                )
-            self._search_executor.prepare(self._trie_matcher.patterns)
+        patterns, self._multi_keys = collect_trie_patterns(self.rewrites, self._multi_searcher)
+        if patterns:
+            self._trie_matcher = trie_matcher if trie_matcher is not None else TrieMatcher(patterns)
         # E-classes dirtied by the previous iteration; None forces a full
-        # search (iteration 0, naive matcher, or delta matching disabled).
+        # search (iteration 0, or delta matching disabled).
         self._delta: Optional[Set[int]] = None
         # Stepping state: iteration reports so far, accumulated in-step time
         # (the budget the time limit is charged against -- wall-clock pauses
@@ -433,33 +316,26 @@ class Runner:
         step-at-a-time loop walks the exact trajectory of a one-shot run.
         """
         if self._stop is not None:
-            self._close_executor()
             return None
         t0 = time.perf_counter()
         if not self._started:
             # Iteration 0 always searches the whole e-graph, so the dirty
             # marks accumulated while the caller seeded it carry no
             # information; drain them so iteration 1's delta covers only
-            # iteration 0's changes.  The condition-dirty marks are drained
-            # for the same reason: verdicts computed during iteration 0 see
-            # the seeded state, so the seeds must not invalidate them.
+            # iteration 0's changes.
             self.egraph.take_dirty()
-            self.egraph.take_condition_dirty()
             self._delta = None
             self._started = True
 
         iteration = len(self._reports)
         if iteration >= self.limits.iter_limit:
             self._stop = StopReason.ITERATION_LIMIT
-            self._close_executor()
             return None
         if self._elapsed > self.limits.time_limit:
             self._stop = StopReason.TIME_LIMIT
-            self._close_executor()
             return None
         if self.egraph.num_enodes > self.limits.node_limit:
             self._stop = StopReason.NODE_LIMIT
-            self._close_executor()
             return None
 
         report = self._run_iteration(iteration)
@@ -474,25 +350,7 @@ class Runner:
             self._stop = StopReason.TIME_LIMIT
         elif len(self._reports) >= self.limits.iter_limit:
             self._stop = StopReason.ITERATION_LIMIT
-        if self._stop is not None:
-            self._close_executor()
         return report
-
-    def _close_executor(self) -> None:
-        """Shut the shard worker pool down as soon as exploration stops.
-
-        Idempotent; also runs from ``__del__`` so an abandoned runner does
-        not leak pool threads/processes.  Extraction and everything after
-        the exploration phase is single-threaded and never needs the pool.
-        """
-        if self._search_executor is not None:
-            self._search_executor.close()
-
-    def __del__(self):  # pragma: no cover - GC-order dependent
-        try:
-            self._close_executor()
-        except Exception:
-            pass
 
     def run(self) -> RunnerReport:
         """Run the exploration loop until saturation or a limit is hit."""
@@ -508,17 +366,6 @@ class Runner:
                 "or inspect the in-progress state via Runner.iterations"
             )
         reports = self._reports
-        # Aggregate the per-iteration shard timings per shard index so the
-        # stats spine (--json, PhaseTimingObserver) sees one row per worker.
-        shard_totals: Dict[int, Dict[str, object]] = {}
-        for r in reports:
-            for shard in r.search_shards:
-                row = shard_totals.setdefault(
-                    shard["shard"], {"shard": shard["shard"], "buckets": 0, "candidates": 0, "seconds": 0.0}
-                )
-                row["buckets"] += shard["buckets"]
-                row["candidates"] += shard["candidates"]
-                row["seconds"] = round(row["seconds"] + shard["seconds"], 6)
         return RunnerReport(
             stop_reason=self._stop,
             iterations=list(reports),
@@ -531,9 +378,6 @@ class Runner:
             rebuild_seconds=sum(r.rebuild_seconds for r in reports),
             multi_join_seconds=sum(r.multi_join_seconds for r in reports),
             condition_seconds=sum(r.condition_seconds for r in reports),
-            condition_cache_hits=sum(r.condition_cache_hits for r in reports),
-            condition_cache_misses=sum(r.condition_cache_misses for r in reports),
-            search_shards=[shard_totals[i] for i in sorted(shard_totals)],
         )
 
     # ------------------------------------------------------------------ #
@@ -544,12 +388,8 @@ class Runner:
         report = IterationReport(index=iteration)
         unions_before = self.egraph.num_unions
         enodes_before = self.egraph.num_enodes
-        checker = self.condition_checker
-        cond_seconds0 = checker.seconds
-        cond_hits0, cond_misses0 = checker.hits, checker.misses
 
-        use_vm = self.limits.matcher == "vm"
-        delta = self._delta if (use_vm and self.limits.use_delta) else None
+        delta = self._delta if self.limits.use_delta else None
         if delta is not None and len(delta) > self.limits.delta_full_fraction * max(1, self.egraph.num_eclasses):
             # A union cascade touched most of the e-graph; the closure walk
             # would cost more than the full search it is meant to avoid.
@@ -562,40 +402,25 @@ class Runner:
         # --- search phase: every rule matched against the frozen e-graph --- #
         t_search = time.perf_counter()
         multi_active = self._multi_searcher is not None and iteration < self.limits.k_multi
-        trie_results = None
+        trie_results: List[list] = []
         if self._trie_matcher is not None:
             # Once the k_multi window closes the multi-pattern trie slots are
             # never read again; skipping them drops their cache maintenance.
             skip = () if multi_active else range(self._n_single, self._n_single + len(self._multi_keys))
-            trie_results = self._trie_matcher.search_all(
-                self.egraph, delta=delta, skip=skip, executor=self._search_executor
-            )
-            if self._search_executor is not None:
-                report.search_shards = [
-                    s.as_dict() for s in self._search_executor.last_shards
-                ]
+            trie_results = self._trie_matcher.search_all(self.egraph, delta=delta, skip=skip)
 
         multi_matches = []
         if multi_active:
             report.applied_multi = True
-            if trie_results is not None:
-                # Trie admission: the canonical source patterns were searched
-                # as a byproduct of the single traversal per op bucket above.
-                canonical_matches = {
-                    key: trie_results[self._n_single + offset]
-                    for offset, key in enumerate(self._multi_keys)
-                }
-            else:
-                canonical_matches = self._multi_searcher.search_canonical(
-                    self.egraph, delta=delta, matcher=self.limits.matcher
-                )
+            # Trie admission: the canonical source patterns were searched as
+            # a byproduct of the single traversal per op bucket above.
+            canonical_matches = {
+                key: trie_results[self._n_single + offset]
+                for offset, key in enumerate(self._multi_keys)
+            }
             t_join = time.perf_counter()
             multi_matches = self._multi_searcher.combine_matches(
-                self.egraph,
-                canonical_matches,
-                self.limits.max_multi_combinations,
-                join=self.limits.multipattern_join,
-                checker=checker,
+                self.egraph, canonical_matches, self.limits.max_multi_combinations
             )
             report.multi_join_seconds = time.perf_counter() - t_join
 
@@ -603,26 +428,13 @@ class Runner:
         single_matches: List[Optional[list]] = []
         for rule_index, rewrite in enumerate(self.rewrites):
             if self.scheduler.is_banned(rule_index, iteration):
-                # A per-rule cache goes more than one delta stale while the
-                # rule is banned; force a full re-search when the ban lifts.
-                # The trie refreshes every rule's cache each iteration and the
-                # naive matcher keeps no cache, so neither needs the reset.
-                if self._matchers:
-                    self._matchers[rule_index].reset()
                 report.n_rules_banned += 1
                 single_matches.append(None)
                 continue
-            if trie_results is not None:
-                raw = trie_results[rule_index]
-            elif use_vm:
-                raw = self._matchers[rule_index].search(self.egraph, delta=delta)
-            else:
-                raw = naive_search_pattern(self.egraph, rewrite.lhs)
-            single_matches.append(rewrite.filter_matches(self.egraph, raw, checker=checker))
+            t_cond = time.perf_counter()
+            single_matches.append(rewrite.filter_matches(self.egraph, trie_results[rule_index]))
+            report.condition_seconds += time.perf_counter() - t_cond
         report.search_seconds = time.perf_counter() - t_search
-        report.condition_seconds = checker.seconds - cond_seconds0
-        report.condition_cache_hits = checker.hits - cond_hits0
-        report.condition_cache_misses = checker.misses - cond_misses0
 
         # --- plan + apply phases: schedule, dedup, execute in one pass ---- #
         t_apply = time.perf_counter()
@@ -657,15 +469,12 @@ class Runner:
         self.egraph.rebuild()
         report.n_cycles_resolved = self.cycle_filter.end_iteration(self.egraph)
         self.egraph.rebuild()
-        # Open a new cache generation: verdicts over the classes this
-        # iteration created, merged, or analysis-repaired are now stale.
-        checker.advance(self.egraph.take_condition_dirty())
         report.rebuild_seconds = time.perf_counter() - t_rebuild
 
         # Everything dirtied during this iteration (rule applications, repairs,
         # cycle resolution) seeds the next iteration's search.
         dirty = self.egraph.take_dirty()
-        self._delta = dirty if (use_vm and self.limits.use_delta) else None
+        self._delta = dirty if self.limits.use_delta else None
 
         # Saturation detection: nothing applied, or nothing actually changed.
         # A banned rule might still have work to do, so an iteration with bans

@@ -3,17 +3,16 @@
 The scheduling logic used to live inline in the runner's iteration loop.  It
 is now a strategy object consulted at two points of the pipeline:
 
-* **before search** -- :meth:`Scheduler.is_banned` decides whether a rule is
-  searched at all this iteration (a banned rule's matches are never even
-  computed on the per-rule paths; the trie path computes them as a byproduct
-  and discards them);
-* **after search, before planning** -- :meth:`Scheduler.admit_matches` sees
+* **after search** -- :meth:`Scheduler.is_banned` decides whether a rule's
+  matches are used this iteration (the trie computes every rule's matches as
+  a byproduct of its one traversal and the runner discards a banned rule's);
+* **before planning** -- :meth:`Scheduler.admit_matches` sees
   the rule's match count and either admits the matches into the apply plan
   or bans the rule for upcoming iterations.
 
-Scheduling decisions depend only on iteration numbers and match counts, and
-every matcher produces identical match lists, so the schedule -- and with it
-the saturation trajectory -- is matcher-independent.
+Scheduling decisions depend only on iteration numbers and match counts, so
+any search that produces the same match lists walks the same schedule -- and
+with it the same saturation trajectory.
 
 Multi-pattern rules are *not* scheduled here: their budget is the runner's
 ``k_multi`` iteration window (see ``docs/multipattern.md``).  The pipeline
@@ -44,9 +43,9 @@ class Scheduler:
     def is_banned(self, rule_index: int, iteration: int) -> bool:
         """True when ``rule_index`` must not run in ``iteration``.
 
-        Consulted *before* the search phase: per-rule search paths skip
-        banned rules entirely; the trie computes their matches as a
-        byproduct of the shared traversal and the runner discards them.
+        Consulted after the trie search: the trie computes a banned rule's
+        matches as a byproduct of the shared traversal and the runner
+        discards them.
         """
         return False
 

@@ -4,10 +4,9 @@ The shape-checking preconditions of rewrite rules (paper Section 4) and the
 cost model (Section 6) both need tensor metadata for arbitrary e-classes.
 Before this module the metadata existed per e-class but every condition
 check re-derived facts for the *target* pattern's operator spine from
-scratch, which made condition checking dominate nasrnn exploration time
-(see ``benchmarks/results/bench_ematch.json``).  The fix is the standard
-e-class-analysis pattern (egg, Willsey et al. 2020) taken to its
-conclusion:
+scratch, which made condition checking dominate nasrnn exploration time.
+The fix is the standard e-class-analysis pattern (egg, Willsey et al. 2020)
+taken to its conclusion:
 
 * :class:`TensorShapeAnalysis` computes each e-class's
   :class:`~repro.ir.tensor.TensorData` once -- ``make`` runs
@@ -34,12 +33,11 @@ compile into flat programs whose variable leaves read
 :func:`infer_fact`; each verdict is cached under the ids of the bound
 variables' facts.
 
-The analysis must uphold one contract for that fast path to be sound:
+The analysis must uphold one contract for that cache to be sound:
 **every fact it stores into an e-class is interned** (``make``, ``merge``
-and the seeding in ``EGraph.add`` all return interned objects).  An
-analysis advertising :attr:`TensorShapeAnalysis.compiled_conditions` makes
-that promise; the condition compiler falls back to the on-demand inference
-spec path for any other analysis.
+and the seeding in ``EGraph.add`` all return interned objects).  Anything
+else that presents ``analysis_data`` to conditions -- the TASO-style
+search's graph adapter, say -- must intern its facts too.
 """
 
 from __future__ import annotations
@@ -144,20 +142,10 @@ class TensorShapeAnalysis(Analysis):
     ----------
     strict:
         Raise on shape conflicts instead of recording them.
-    compiled_conditions:
-        Advertise the interned facts to :mod:`repro.rules.conditions`: when
-        True (the default) ``targets_shape_valid`` runs its compiled flat
-        programs over the per-class facts; when False conditions take the
-        on-demand inference path (the executable spec, the
-        ``shape_analysis="off"`` config setting).  The facts themselves are
-        maintained identically either way.
     """
 
-    def __init__(self, strict: bool = False, compiled_conditions: bool = True) -> None:
+    def __init__(self, strict: bool = False) -> None:
         self.strict = strict
-        #: Consulted by the condition compiler and the runner's
-        #: ``condition_cache="auto"`` resolution.
-        self.compiled_conditions = compiled_conditions
         #: Number of valid-vs-valid shape disagreements seen by ``merge``.
         self.n_conflicts = 0
         #: The most recent conflicting pair ``(kept, discarded)``.

@@ -136,20 +136,12 @@ class TensorAnalysis(TensorShapeAnalysis):
 # ---------------------------------------------------------------------- #
 
 
-def egraph_from_graph(
-    graph: TensorGraph, strict: bool = False, shape_analysis: bool = True
-) -> Tuple[EGraph, int]:
+def egraph_from_graph(graph: TensorGraph, strict: bool = False) -> Tuple[EGraph, int]:
     """Create an e-graph with the :class:`TensorAnalysis` seeded with ``graph``.
-
-    ``shape_analysis`` selects how rewrite conditions consume the analysis:
-    ``True`` (the ``shape_analysis="on"`` config setting) advertises the
-    interned per-class facts so ``targets_shape_valid`` runs its compiled
-    programs; ``False`` keeps the on-demand inference path (the executable
-    spec).  The analysis data itself is maintained identically either way.
 
     Returns ``(egraph, root_eclass)``.
     """
-    egraph = EGraph(analysis=TensorAnalysis(strict=strict, compiled_conditions=shape_analysis))
+    egraph = EGraph(analysis=TensorAnalysis(strict=strict))
     expr, _ = graph_to_recexpr(graph)
     root = egraph.add_expr(expr)
     return egraph, root

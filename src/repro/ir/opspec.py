@@ -27,11 +27,9 @@ of truth consulted by:
 * ``tools/check_api.py`` -- the lockstep check that every registered
   operator carries shape *and* cost functions.
 
-The old per-symbol if/elif chains survive as *executable specs*
-(``repro.ir.shapes.infer_symbol_spec``, ``repro.costs.flops.op_flops_spec``
-/ ``op_bytes_spec``) pinned verdict-by-verdict against the registry
-dispatch by ``tests/test_opspec.py`` -- the same compiled-vs-spec discipline
-the e-matcher and the multi-pattern join already follow.
+The old per-symbol if/elif chains are kept as a test oracle
+(``tests/oracles/opspec_chains.py``), pinned verdict-by-verdict against the
+registry dispatch by ``tests/test_opspec.py``.
 
 Registering a new operator (see ``docs/operators.md`` for the worked
 example)::
@@ -691,7 +689,7 @@ class OpRegistry:
                 raise ShapeError(f"{symbol} expects {spec.signature}, got {n} operands")
         result = spec.infer(children)
         # Weight-only subgraphs can be pre-computed before inference (paper
-        # Figure 10); propagate the flag exactly as the executable spec does.
+        # Figure 10); propagate the flag exactly as the if/elif chain oracle does.
         kind = spec.kind
         if result.kind == DataKind.TENSOR and not kind.is_literal and not kind.is_identifier:
             tensor_children = [c for c in children if c.kind in (DataKind.TENSOR, DataKind.TUPLE)]
@@ -861,9 +859,7 @@ def infer_symbol(symbol: str, children: Sequence[TensorData]) -> TensorData:
     Raises :class:`~repro.ir.tensor.ShapeError` when the operands are
     incompatible -- this is exactly the "shape checking" the paper performs
     before applying a rewrite at a syntactic match.  Dispatches through the
-    :data:`OPS` registry; the historical if/elif chain survives as
-    :func:`repro.ir.shapes.infer_symbol_spec`, pinned verdict-by-verdict in
-    ``tests/test_opspec.py``.
+    :data:`OPS` registry.
     """
     return OPS.infer(symbol, children)
 

@@ -12,13 +12,10 @@ consulted by:
 * rewrite-rule preconditions (:mod:`repro.rules.conditions`).
 
 This module remains the historical import path: :func:`infer_symbol` and the
-geometry helpers are re-exported from the registry module, and the original
-per-symbol if/elif dispatch chain survives below as
-:func:`infer_symbol_spec` -- an *executable specification* pinned
-verdict-by-verdict against the registry dispatch by ``tests/test_opspec.py``
-(the same compiled-vs-spec discipline the e-matcher and multi-pattern join
-follow).  It shares the per-operator inference functions with the registry,
-so the parity test checks exactly the part that changed: the dispatch.
+geometry helpers are re-exported from the registry module.  The original
+per-symbol if/elif dispatch chain is kept as a test oracle
+(``tests/oracles/opspec_chains.py``), pinned verdict-by-verdict against the
+registry dispatch by ``tests/test_opspec.py``.
 
 All functions operate on e-graph operator *symbols* (see
 :func:`repro.ir.ops.op_symbol`) and :class:`~repro.ir.tensor.TensorData`
@@ -28,122 +25,18 @@ e-graph.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.ir.ops import OpKind, symbol_to_op
 from repro.ir.opspec import (  # noqa: F401  (re-exported front door)
-    _infer_concat,
-    _infer_conv,
-    _infer_enlarge,
-    _infer_ewise,
-    _infer_identifier,
-    _infer_matmul,
-    _infer_merge,
-    _infer_noop,
-    _infer_pool,
-    _infer_reshape,
-    _infer_split,
-    _infer_split_index,
-    _infer_transpose,
-    _infer_activation,
     conv_output_hw,
     infer_symbol,
     matmul_output_shape,
     pool_output_hw,
     same_padding_amount,
 )
-from repro.ir.tensor import DataKind, ShapeError, TensorData
 
 __all__ = [
     "infer_symbol",
-    "infer_symbol_spec",
     "conv_output_hw",
     "pool_output_hw",
     "matmul_output_shape",
     "same_padding_amount",
 ]
-
-
-def infer_symbol_spec(symbol: str, children: Sequence[TensorData]) -> TensorData:
-    """Executable spec: the original if/elif dispatch for :func:`infer_symbol`.
-
-    Kept verbatim (sharing the per-operator bodies with the registry) and
-    pinned against :func:`repro.ir.opspec.infer_symbol` verdict-by-verdict in
-    ``tests/test_opspec.py``.  Not a hot path -- the production dispatch is
-    the registry's symbol-indexed lookup.
-    """
-    result = _infer_symbol_inner(symbol, children)
-    op, _ = symbol_to_op(symbol)
-    if result.kind == DataKind.TENSOR and not op.is_literal and not op.is_identifier:
-        tensor_children = [c for c in children if c.kind in (DataKind.TENSOR, DataKind.TUPLE)]
-        if tensor_children and all(c.from_weights for c in tensor_children):
-            result = result.with_from_weights(True)
-    if result.kind == DataKind.TUPLE:
-        tensor_children = [c for c in children if c.kind in (DataKind.TENSOR, DataKind.TUPLE)]
-        if tensor_children and all(c.from_weights for c in tensor_children):
-            result = TensorData.tuple_of(tuple(p.with_from_weights(True) for p in result.parts))
-    return result
-
-
-def _infer_symbol_inner(symbol: str, children: Sequence[TensorData]) -> TensorData:
-    op, literal = symbol_to_op(symbol)
-
-    if op == OpKind.NUM:
-        return TensorData.integer(literal)
-    if op == OpKind.STR:
-        return TensorData.string(literal)
-
-    for child in children:
-        if not child.is_valid:
-            raise ShapeError(f"{symbol}: invalid operand")
-
-    if op in (OpKind.INPUT, OpKind.WEIGHT):
-        if len(children) != 1:
-            raise ShapeError(f"{symbol} expects a single identifier child")
-        result = _infer_identifier(children)
-        if op == OpKind.WEIGHT:
-            result = result.with_from_weights(True)
-        return result
-    if op in (OpKind.EWADD, OpKind.EWMUL):
-        if len(children) != 2:
-            raise ShapeError(f"{symbol} expects two operands")
-        return _infer_ewise(children)
-    if op == OpKind.MATMUL:
-        return _infer_matmul(children)
-    if op == OpKind.CONV:
-        return _infer_conv(children)
-    if op in (OpKind.RELU, OpKind.TANH, OpKind.SIGMOID):
-        if len(children) != 1:
-            raise ShapeError(f"{symbol} expects one operand")
-        return _infer_activation(children)
-    if op in (OpKind.POOLMAX, OpKind.POOLAVG):
-        return _infer_pool(children)
-    if op == OpKind.TRANSPOSE:
-        if len(children) != 2:
-            raise ShapeError("transpose expects (input, permutation)")
-        return _infer_transpose(children)
-    if op == OpKind.ENLARGE:
-        if len(children) != 2:
-            raise ShapeError("enlarge expects (input, ref_input)")
-        return _infer_enlarge(children)
-    if op == OpKind.CONCAT:
-        return _infer_concat(children)
-    if op == OpKind.SPLIT:
-        if len(children) != 2:
-            raise ShapeError("split expects (axis, input)")
-        return _infer_split(children)
-    if op == OpKind.SPLIT0:
-        return _infer_split_index(children, 0)
-    if op == OpKind.SPLIT1:
-        return _infer_split_index(children, 1)
-    if op == OpKind.MERGE:
-        if len(children) != 2:
-            raise ShapeError("merge expects (weight, count)")
-        return _infer_merge(children)
-    if op == OpKind.RESHAPE:
-        if len(children) != 2:
-            raise ShapeError("reshape expects (input, shape)")
-        return _infer_reshape(children)
-    if op == OpKind.NOOP:
-        return _infer_noop(children)
-    raise ShapeError(f"unknown operator symbol {symbol!r}")

@@ -5,22 +5,17 @@ The paper applies a rewrite at a syntactic match only after *shape checking*
 variables are bound to.  The helpers below build such conditions from the
 tensor e-class analysis data.
 
-Two evaluation paths exist behind :func:`targets_shape_valid`:
-
-* **Compiled** (the default with ``shape_analysis="on"``): at
-  condition-construction time each target pattern is flattened into a
-  post-order program over slots -- variable leaves load the binding's
-  precomputed fact straight from ``egraph.analysis_data``, and only the
-  target's *new* operator spine runs inference, through the process-wide
-  cache :func:`~repro.egraph.shapeanalysis.infer_fact`.  The verdict itself
-  is cached under the ids of the bound variables' (interned) facts, so a
-  binding whose facts were seen before costs one dict probe.  Sub-terms
-  shared across targets compile to one slot.
-* **Spec** (``shape_analysis="off"``, or any analysis that does not
-  advertise interned facts): :func:`_infer_term` re-runs bottom-up
-  inference per evaluation.  This is the executable specification; the
-  compiled path must return the identical verdict for every match (pinned
-  by the golden trajectory tests).
+:func:`targets_shape_valid` compiles each target pattern, at
+condition-construction time, into a post-order program over slots --
+variable leaves load the binding's precomputed fact straight from
+``egraph.analysis_data``, and only the target's *new* operator spine runs
+inference, through the process-wide cache
+:func:`~repro.egraph.shapeanalysis.infer_fact`.  The verdict itself is cached
+under the ids of the bound variables' (interned) facts, so a binding whose
+facts were seen before costs one dict probe.  Sub-terms shared across
+targets compile to one slot.  Bottom-up inference per evaluation is kept as
+a test oracle (``tests/oracles/shape_spec.py``); the compiled path must
+return the identical verdict for every match.
 """
 
 from __future__ import annotations
@@ -30,13 +25,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.egraph.egraph import EGraph
 from repro.egraph.ematch import Match
 from repro.egraph.multipattern import MultiMatch
-from repro.egraph.pattern import Pattern, PatternNode, PatternTerm, PatternVar
+from repro.egraph.pattern import Pattern, PatternTerm, PatternVar
 from repro.egraph.shapeanalysis import infer_fact
-from repro.ir.opspec import infer_symbol
-from repro.ir.tensor import DataKind, ShapeError, TensorData
+from repro.ir.tensor import DataKind, TensorData
 
 __all__ = [
-    "pattern_data",
     "targets_shape_valid",
     "var_is_int",
     "var_rank_is",
@@ -47,44 +40,6 @@ __all__ = [
 
 AnyMatch = Union[Match, MultiMatch]
 Condition = Callable[[EGraph, AnyMatch], bool]
-
-
-def _infer_term(egraph: EGraph, subst: Dict[str, int], term: PatternTerm, memo: Dict, key_of) -> TensorData:
-    """Bottom-up shape inference for one pattern term under ``subst``.
-
-    Variables read their metadata from the e-class analysis; operator nodes
-    run shape inference on their children's results.  ``memo`` (keyed by
-    ``key_of(term)``) shares the inference of repeated sub-terms within one
-    evaluation.  Raises :class:`ShapeError` when the term is ill-typed.
-
-    This is the executable spec of the compiled program in
-    :class:`TargetsShapeValid`; both paths must agree on every verdict.
-    """
-    key = key_of(term)
-    data = memo.get(key)
-    if data is not None:
-        return data
-    if isinstance(term, PatternVar):
-        eclass = subst.get(term.name)
-        if eclass is None:
-            raise ShapeError(f"variable ?{term.name} unbound")
-        data = egraph.analysis_data(eclass)
-        if data is None or not data.is_valid:
-            raise ShapeError(f"variable ?{term.name} has no valid analysis data")
-    else:
-        data = infer_symbol(
-            term.op, [_infer_term(egraph, subst, c, memo, key_of) for c in term.children]
-        )
-    memo[key] = data
-    return data
-
-
-def pattern_data(egraph: EGraph, pattern: Pattern, subst: Dict[str, int]) -> TensorData:
-    """Infer the metadata the root of ``pattern`` would have under ``subst``.
-
-    Raises :class:`ShapeError` when the pattern would be ill-typed.
-    """
-    return _infer_term(egraph, subst, pattern.root, {}, id)
 
 
 class TargetsShapeValid:
@@ -103,41 +58,38 @@ class TargetsShapeValid:
     the compiled path caches it under the tuple of those facts' ids.  The
     cache needs no invalidation -- a binding whose e-class facts change
     simply presents a different key -- and the ids are stable because the
-    compiled path only runs over interned facts, which are never freed
-    (:mod:`repro.egraph.shapeanalysis`).  A pickled condition carries only
-    its targets and recompiles on load: ids mean nothing in another process.
+    analysis only stores interned facts, which are never freed
+    (:mod:`repro.egraph.shapeanalysis`); any other object that presents
+    ``analysis_data`` to conditions must intern its facts too.  A pickled
+    condition carries only its targets and recompiles on load: ids mean
+    nothing in another process.
 
     Sub-terms shared across targets are detected structurally at
     construction time and compile to a single slot: the targets of a
     multi-pattern merge differ only in their outer projection (``split0`` /
     ``split1`` around one merged operator chain), so the shared chain is
     evaluated once per match instead of once per target.
-
-    The compiled path runs only when the e-graph's analysis advertises
-    interned facts (``analysis.compiled_conditions``); otherwise the
-    on-demand :func:`_infer_term` spec path runs.  Verdicts are identical
-    either way (golden tests pin the trajectories bit-for-bit).
     """
 
-    __slots__ = ("targets", "_roots", "_subterm_keys", "_instrs", "_root_slots", "_loads", "_verdicts")
+    __slots__ = ("targets", "_instrs", "_loads", "_verdicts")
 
     def __init__(self, targets: Sequence[Pattern]) -> None:
         self.targets = tuple(targets)
-        self._roots = [target.root for target in self.targets]
+        roots = [target.root for target in self.targets]
 
         # id(subterm) -> structural key; shared sub-terms (within and across
         # targets) get one key even when parsed separately.
-        self._subterm_keys: Dict[int, str] = {}
+        subterm_keys: Dict[int, str] = {}
 
         def index(term: PatternTerm) -> str:
             if isinstance(term, PatternVar):
                 key = "?" + term.name
             else:
                 key = "(" + " ".join([term.op] + [index(c) for c in term.children]) + ")"
-            self._subterm_keys[id(term)] = key
+            subterm_keys[id(term)] = key
             return key
 
-        for root in self._roots:
+        for root in roots:
             index(root)
 
         # Flat post-order program: structural key -> slot, one instruction
@@ -146,7 +98,7 @@ class TargetsShapeValid:
         slot_of: Dict[str, int] = {}
 
         def compile_term(term: PatternTerm) -> int:
-            key = self._subterm_keys[id(term)]
+            key = subterm_keys[id(term)]
             slot = slot_of.get(key)
             if slot is not None:
                 return slot
@@ -160,7 +112,8 @@ class TargetsShapeValid:
             slot_of[key] = slot
             return slot
 
-        self._root_slots = tuple(compile_term(root) for root in self._roots)
+        for root in roots:
+            compile_term(root)
         self._instrs = tuple(instrs)
         #: The variable loads, in slot order: the facts the verdict depends on.
         self._loads = tuple(var for var, _, _ in self._instrs if var is not None)
@@ -175,24 +128,9 @@ class TargetsShapeValid:
     def __setstate__(self, state) -> None:
         self.__init__(state["targets"])
 
-    def _key_of(self, term: PatternTerm) -> str:
-        return self._subterm_keys[id(term)]
-
     def __call__(self, egraph: EGraph, match: AnyMatch) -> bool:
-        # Adapters (e.g. the TASO-style search's GraphAnalysisAdapter) expose
-        # only analysis_data/find; the compiled path additionally requires the
-        # analysis to advertise interned facts, so fall back to the spec path
-        # unless it does.
-        analysis = getattr(egraph, "analysis", None)
-        if getattr(analysis, "compiled_conditions", False):
-            return self._check_compiled(egraph, match.subst)
-        return self._check_spec(egraph, match.subst)
-
-    # -- compiled path -------------------------------------------------- #
-
-    def _check_compiled(self, egraph: EGraph, subst: Dict[str, int]) -> bool:
         data_of = egraph.analysis_data
-        subst_get = subst.get
+        subst_get = match.subst.get
         facts: List[TensorData] = []
         for var in self._loads:
             eclass = subst_get(var)
@@ -224,25 +162,11 @@ class TargetsShapeValid:
             append(data)
         return True
 
-    # -- spec path (executable specification) --------------------------- #
-
-    def _check_spec(self, egraph: EGraph, subst: Dict[str, int]) -> bool:
-        memo: Dict[str, TensorData] = {}
-        for root in self._roots:
-            try:
-                data = _infer_term(egraph, subst, root, memo, self._key_of)
-            except ShapeError:
-                return False
-            if not data.is_valid:
-                return False
-        return True
-
 
 def targets_shape_valid(targets: Sequence[Pattern]) -> Condition:
     """Condition: every target pattern type-checks under the match's bindings.
 
-    See :class:`TargetsShapeValid` for the compiled-program evaluation and
-    the on-demand inference spec path it dispatches between.
+    See :class:`TargetsShapeValid` for the compiled-program evaluation.
     """
     return TargetsShapeValid(targets)
 

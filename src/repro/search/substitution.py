@@ -18,6 +18,7 @@ from repro.egraph.ematch import Match
 from repro.egraph.multipattern import MultiMatch, MultiPatternRewrite
 from repro.egraph.pattern import Pattern, PatternNode, PatternTerm, PatternVar
 from repro.egraph.rewrite import Rewrite
+from repro.egraph.shapeanalysis import intern_data
 from repro.ir.graph import GraphBuilder, TensorGraph
 from repro.ir.tensor import ShapeError, TensorData
 
@@ -38,13 +39,19 @@ class GraphMatch:
 class GraphAnalysisAdapter:
     """Presents a :class:`TensorGraph` through the tiny slice of the e-graph API
     that rule conditions use (``analysis_data`` and ``find``), so the same
-    condition callables work for both search strategies."""
+    condition callables work for both search strategies.
+
+    Facts are served interned, as the e-graph's shape analysis serves them:
+    compiled shape conditions cache verdicts under the ids of the facts they
+    read, which is only sound for objects that are never freed
+    (:mod:`repro.egraph.shapeanalysis`).
+    """
 
     def __init__(self, graph: TensorGraph) -> None:
         self.graph = graph
 
     def analysis_data(self, node_id: int) -> TensorData:
-        return self.graph.nodes[node_id].data
+        return intern_data(self.graph.nodes[node_id].data)
 
     def find(self, node_id: int) -> int:
         return node_id

@@ -124,7 +124,7 @@ def config_digest(
 
     Every :class:`TensatConfig` field enters the digest, so the cache is
     conservative: knobs that provably cannot change the optimized graph
-    (``search_jobs``, timing limits, ...) still separate cache entries.
+    (timing limits, ...) still separate cache entries.
     ``rules`` may be a :class:`~repro.rules.library.RuleSet` (its rule names
     are digested) and ``cost_model`` any cost model (its class identity is
     digested); ``None`` stands for the service defaults.  The registered

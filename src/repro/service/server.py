@@ -2,7 +2,7 @@
 
 A long-lived asyncio TCP server over :func:`repro.core.batch.optimize_many`
 that keeps per-process state resident across requests: the compiled rule
-trie (compiled once per (matcher, search_mode) and forked per request), the
+trie (compiled on first use and forked per request), the
 rule set, the cost model, and the :class:`~repro.service.cache.ResultCache`
 keyed on ``(graph fingerprint, config digest)``.
 
@@ -33,7 +33,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional
 
 from repro.core.batch import compile_shared_trie, optimize_many
 from repro.core.config import ConfigError, TensatConfig
@@ -153,7 +153,8 @@ class OptimizationService:
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.max_concurrency, thread_name_prefix="repro-service"
         )
-        self._tries: Dict[Tuple[str, str], object] = {}
+        self._trie = None
+        self._trie_compiled = False
         self._lock = threading.Lock()
         self._admitted = 0  # optimize requests queued or running
         self._started_at = time.monotonic()
@@ -166,18 +167,19 @@ class OptimizationService:
     # Resident compiled state
     # ------------------------------------------------------------------ #
 
-    def shared_trie(self, config: TensatConfig):
-        """The resident compiled rule trie for ``config``'s search path (or None).
+    def shared_trie(self):
+        """The resident compiled rule trie (None for an empty rule set).
 
-        Compiled at most once per (matcher, search_mode) over the service's
-        rule set; callers receive a :meth:`fork` with a private delta cache,
-        so concurrent requests never share mutable matcher state.
+        Compiled once, on first use, over the service's rule set -- every
+        configuration searches with the same trie; callers receive a
+        :meth:`fork` with a private delta cache, so concurrent requests
+        never share mutable matcher state.
         """
-        key = (config.matcher, config.search_mode)
         with self._lock:
-            if key not in self._tries:
-                self._tries[key] = compile_shared_trie(self.rules, config)
-            trie = self._tries[key]
+            if not self._trie_compiled:
+                self._trie = compile_shared_trie(self.rules)
+                self._trie_compiled = True
+            trie = self._trie
         return trie.fork() if trie is not None else None
 
     def resolve_config(self, overrides: object) -> TensatConfig:
@@ -185,8 +187,8 @@ class OptimizationService:
 
         Field names are validated against the :class:`TensatConfig`
         dataclass, values are coerced to the field types, and construction
-        re-runs the registry validation -- an unknown extractor / scheduler /
-        matcher name fails here with a ``config`` error naming the choices.
+        re-runs the registry validation -- an unknown field or an unknown
+        extractor / scheduler name fails here with a ``config`` error.
         """
         if overrides is None:
             return self.base_config
@@ -299,7 +301,7 @@ class OptimizationService:
             cost_model=self.cost_model,
             rules=self.rules,
             config=config,
-            shared_trie=self.shared_trie(config),
+            shared_trie=self.shared_trie(),
         )[0]
         optimize_seconds = time.perf_counter() - start
         cached = CachedResult(
@@ -357,7 +359,7 @@ class OptimizationService:
                     "queue_seconds_mean": round(self._queue_seconds_total / optimize_runs, 6),
                     "optimize_seconds_total": round(self._optimize_seconds_total, 6),
                 },
-                "tries_compiled": len(self._tries),
+                "tries_compiled": int(self._trie_compiled),
             }
 
     def close(self) -> None:

@@ -180,15 +180,15 @@ class TestDeferredUnionDeltaInteraction:
 
     def test_delta_search_observes_flushed_merge(self):
         from repro.egraph.language import ENode
-        from repro.egraph.machine import IncrementalMatcher
+        from repro.egraph.machine import TrieMatcher
         from repro.egraph.pattern import Pattern
 
         eg = EGraph()
         a = eg.add(ENode("a"))
         b = eg.add(ENode("b"))
         gb = eg.add(ENode("g", (b,)))
-        matcher = IncrementalMatcher(Pattern.parse("(g (f ?x))"))
-        assert matcher.search(eg) == []  # seeds the incremental cache
+        matcher = TrieMatcher([Pattern.parse("(g (f ?x))")])
+        assert matcher.search_all(eg) == [[]]  # seeds the incremental cache
         eg.take_dirty()
 
         # Batched apply: add an RHS against the frozen union-find, queue the
@@ -200,11 +200,11 @@ class TestDeferredUnionDeltaInteraction:
         eg.rebuild()
 
         delta = eg.take_dirty()
-        matches = matcher.search(eg, delta=delta)
+        (matches,) = matcher.search_all(eg, delta=delta)
         assert [m.eclass for m in matches] == [eg.find(gb)]
         assert matches[0].subst == {"x": eg.find(a)}
         # And the delta search equals a fresh full search.
-        assert matches == IncrementalMatcher(Pattern.parse("(g (f ?x))")).search(eg)
+        assert [matches] == TrieMatcher([Pattern.parse("(g (f ?x))")]).search_all(eg)
 
 
 class TestPipelineEquivalence:

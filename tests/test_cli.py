@@ -21,23 +21,21 @@ class TestParser:
 
     def test_engine_knob_defaults(self):
         args = build_parser().parse_args(["optimize", "--model", "nasrnn"])
-        assert args.matcher == "vm"
-        assert args.search_mode == "trie"
         assert args.scheduler == "simple"
+        assert args.cycle_filter == "efficient"
 
     def test_engine_knobs_parse(self):
         args = build_parser().parse_args(
             [
                 "optimize", "--model", "nasrnn",
-                "--matcher", "naive",
-                "--search-mode", "per-rule",
+                "--cycle-filter", "vanilla",
                 "--scheduler", "backoff",
             ]
         )
-        assert args.matcher == "naive"
-        assert args.search_mode == "per-rule"
+        assert args.cycle_filter == "vanilla"
         assert args.scheduler == "backoff"
 
+    # --matcher and --search-mode are removed flags: argparse rejects them.
     @pytest.mark.parametrize("flag,value", [
         ("--matcher", "regex"),
         ("--search-mode", "hash"),
@@ -101,8 +99,7 @@ class TestCommands:
                 "--node-limit", "800",
                 "--iter-limit", "3",
                 "--extraction", "greedy",
-                "--matcher", "naive",
-                "--search-mode", "per-rule",
+                "--cycle-filter", "vanilla",
                 "--scheduler", "backoff",
                 "--json",
             ]

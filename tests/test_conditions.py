@@ -3,6 +3,7 @@
 import pickle
 
 import pytest
+from oracles.shape_spec import pattern_data, targets_valid_spec
 
 from repro.egraph import shapeanalysis
 from repro.egraph.ematch import Match, search_pattern
@@ -13,7 +14,6 @@ from repro.rules.conditions import (
     all_of,
     conv_not_grouped,
     enlarge_compatible,
-    pattern_data,
     targets_shape_valid,
     var_is_int,
     var_rank_is,
@@ -142,11 +142,9 @@ class TestConvConditions:
 class TestCompiledSpecParity:
     """The compiled condition programs must agree with on-demand inference.
 
-    ``egraph_from_graph(..., shape_analysis=True)`` advertises the interned
-    per-class facts, so ``targets_shape_valid`` takes its compiled path;
-    ``shape_analysis=False`` forces the on-demand inference spec path.  Both
-    e-graphs are built from the same graph, so matches carry identical
-    substitutions and every verdict must coincide.
+    ``targets_shape_valid`` runs compiled programs over the interned
+    per-class facts; the oracle (``tests/oracles/shape_spec.py``) re-runs
+    bottom-up inference for every check.  Every verdict must coincide.
     """
 
     PATTERNS = [
@@ -165,22 +163,16 @@ class TestCompiledSpecParity:
 
     @pytest.mark.parametrize("cols", [(32, 48), (32, 32)])
     def test_verdicts_match_on_every_binding(self, cols):
-        g = matmul_pair_graph(*cols)
-        compiled_eg, _ = egraph_from_graph(g, shape_analysis=True)
-        spec_eg, _ = egraph_from_graph(g, shape_analysis=False)
-        assert compiled_eg.analysis.compiled_conditions
-        assert not spec_eg.analysis.compiled_conditions
+        eg, _ = egraph_from_graph(matmul_pair_graph(*cols))
         checked = 0
         for pattern_text in self.PATTERNS:
-            pattern = Pattern.parse(pattern_text)
-            compiled_matches = search_pattern(compiled_eg, pattern)
-            spec_matches = search_pattern(spec_eg, pattern)
-            assert [m.subst for m in compiled_matches] == [m.subst for m in spec_matches]
+            matches = search_pattern(eg, Pattern.parse(pattern_text))
             for targets in self.TARGETS:
-                cond = targets_shape_valid([Pattern.parse(t) for t in targets])
-                for cm, sm in zip(compiled_matches, spec_matches):
-                    assert cond(compiled_eg, cm) == cond(spec_eg, sm), (
-                        f"compiled/spec divergence for {targets} on {cm.subst}"
+                patterns = [Pattern.parse(t) for t in targets]
+                cond = targets_shape_valid(patterns)
+                for m in matches:
+                    assert cond(eg, m) == targets_valid_spec(eg, patterns, m.subst), (
+                        f"compiled/spec divergence for {targets} on {m.subst}"
                     )
                     checked += 1
         assert checked > 0
@@ -209,11 +201,11 @@ class TestCompiledSpecParity:
         conds = [targets_shape_valid([Pattern.parse(t) for t in targets]) for targets in self.TARGETS]
         verdicts = set()
         for cols in [(32, 48), (32, 32), (48, 48)]:
-            eg, _ = egraph_from_graph(matmul_pair_graph(*cols), shape_analysis=True)
+            eg, _ = egraph_from_graph(matmul_pair_graph(*cols))
             for pattern_text in self.PATTERNS:
                 for m in search_pattern(eg, Pattern.parse(pattern_text)):
                     for i, cond in enumerate(conds):
-                        expected = cond._check_spec(eg, m.subst)
+                        expected = targets_valid_spec(eg, cond.targets, m.subst)
                         facts = [eg.analysis_data(m.subst[v]) for v in cond._loads if v in m.subst]
                         if len(facts) == len(cond._loads) and all(f.is_valid for f in facts):
                             assert cond._run_program(facts) == expected
@@ -231,7 +223,7 @@ class TestCompiledSpecParity:
         clone = pickle.loads(pickle.dumps(cond))
         assert clone._verdicts == {}
         assert clone._instrs == cond._instrs
-        assert clone(eg, m) and clone._check_spec(eg, m.subst)
+        assert clone(eg, m) and targets_valid_spec(eg, clone.targets, m.subst)
 
     def test_shared_subterms_compile_to_one_slot(self):
         cond = targets_shape_valid(

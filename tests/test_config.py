@@ -40,17 +40,19 @@ class TestTensatConfig:
 
     def test_invalid_engine_knobs_rejected(self):
         with pytest.raises(ValueError):
-            TensatConfig(matcher="regex")
-        with pytest.raises(ValueError):
-            TensatConfig(search_mode="hash")
-        with pytest.raises(ValueError):
             TensatConfig(scheduler="adaptive")
+        with pytest.raises(ValueError):
+            TensatConfig(cycle_filter="sometimes")
+        # The search phase has one path; its old knobs are not fields.
+        for removed in ("matcher", "search_mode", "multipattern_join", "condition_cache",
+                        "shape_analysis", "search_jobs", "search_executor"):
+            with pytest.raises(TypeError):
+                TensatConfig(**{removed: None})
 
     def test_engine_defaults(self):
         cfg = TensatConfig()
-        assert cfg.matcher == "vm"
-        assert cfg.search_mode == "trie"
         assert cfg.scheduler == "simple"
+        assert cfg.cycle_filter == "efficient"
         assert cfg.delta_matching
 
     def test_nonpositive_limits_rejected(self):

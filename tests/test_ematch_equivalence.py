@@ -1,31 +1,27 @@
 """Equivalence of the compiled e-matching VM and the naive matcher.
 
-The compiled virtual machine (:mod:`repro.egraph.machine`) must return
-exactly the same canonical match set as the interpretive backtracking matcher
-for every rule in the library, on clean e-graphs, on dirty e-graphs (pending
-unions mid-iteration), and through incremental (delta-seeded) searches.
-These tests treat the naive matcher as the executable specification.
+The compiled virtual machine (:mod:`repro.egraph.machine`) and the
+shared-prefix rule trie must return exactly the same canonical match set as
+the interpretive backtracking matcher for every rule in the library, on
+clean e-graphs, on dirty e-graphs (pending unions mid-iteration), and
+through incremental (delta-seeded) searches.  These tests treat the naive
+matcher (``tests/oracles/naive_match.py``) as the executable specification.
 """
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.naive_match import naive_search_eclass, naive_search_pattern
 
 from repro.egraph.egraph import EGraph
-from repro.egraph.ematch import (
-    naive_search_eclass,
-    naive_search_pattern,
-    search_eclass,
-    search_pattern,
-)
+from repro.egraph.ematch import search_eclass, search_pattern
 from repro.egraph.language import RecExpr
 from repro.egraph.machine import (
     BIND,
     COMPARE,
     LOOKUP,
     YIELD,
-    IncrementalMatcher,
     TrieMatcher,
     build_rule_trie,
     compile_pattern,
@@ -202,9 +198,9 @@ class TestEquivalenceProperties:
         egraph = build_from_script(trees, union_seeds)
         egraph.rebuild()
 
-        matchers = [IncrementalMatcher(p) for p in SOURCE_PATTERNS]
+        matchers = [TrieMatcher([p]) for p in SOURCE_PATTERNS]
         for matcher in matchers:
-            matcher.search(egraph)  # populate caches with a full search
+            matcher.search_all(egraph)  # populate caches with a full search
         egraph.take_dirty()
 
         # Grow the e-graph: new terms plus a union, then rebuild.
@@ -216,9 +212,9 @@ class TestEquivalenceProperties:
         delta = egraph.take_dirty()
 
         for matcher in matchers:
-            incremental = matcher.search(egraph, delta=delta)
-            full = naive_search_pattern(egraph, matcher.pattern)
-            assert incremental == full, str(matcher.pattern)
+            (incremental,) = matcher.search_all(egraph, delta=delta)
+            (pattern,) = matcher.patterns
+            assert incremental == naive_search_pattern(egraph, pattern), str(pattern)
 
     def test_union_at_max_variable_depth_creates_match_incrementally(self):
         """Regression: a union of classes bound by a repeated variable at the
@@ -228,8 +224,8 @@ class TestEquivalenceProperties:
         egraph = EGraph()
         egraph.add_term("(ewadd (ewmul a b) (ewmul c d))")
         pattern = Pattern.parse("(ewadd (ewmul ?x ?z) (ewmul ?y ?z))")
-        matcher = IncrementalMatcher(pattern)
-        assert matcher.search(egraph) == []  # b != d: the repeated ?z fails
+        matcher = TrieMatcher([pattern])
+        assert matcher.search_all(egraph) == [[]]  # b != d: the repeated ?z fails
         egraph.take_dirty()
 
         b = egraph.add_term("b")
@@ -238,7 +234,7 @@ class TestEquivalenceProperties:
         egraph.rebuild()
         delta = egraph.take_dirty()
 
-        incremental = matcher.search(egraph, delta=delta)
+        (incremental,) = matcher.search_all(egraph, delta=delta)
         full = naive_search_pattern(egraph, pattern)
         assert incremental == full
         assert len(incremental) == 1

@@ -1,22 +1,25 @@
 """Tests for multi-pattern rewrites (paper Algorithm 1).
 
-The hash-join tests treat the Cartesian-product combine as the executable
-specification: for every scenario -- hand-built and property-generated --
-``combine(join="hash")`` must return a list *identical* to
-``combine(join="product")``, element for element and in the same order,
-because the saturation trajectory depends on that order.
+The hash-join tests treat the Cartesian-product combine
+(``tests/oracles/product_join.py``) as the executable specification: for
+every scenario -- hand-built and property-generated -- ``combine`` must
+return a list *identical* to the product's, element for element and in the
+same order, because the saturation trajectory depends on that order.
 """
 
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.naive_match import NaiveSearchAll
+from oracles.product_join import combine_product
 
 from repro.egraph.egraph import EGraph
 from repro.egraph.ematch import search_pattern
 from repro.egraph.language import RecExpr
 from repro.egraph.multipattern import MultiPatternRewrite, MultiPatternSearcher
-from repro.egraph.runner import Runner, RunnerLimits
+from repro.egraph.runner import Runner, RunnerLimits, collect_trie_patterns
 
 
 def matmul_merge_rule(condition=None):
@@ -184,8 +187,8 @@ def zero_shared_rule(condition=None):
 
 def assert_join_equals_product(egraph, rule, max_combinations=None):
     per_source = [search_pattern(egraph, p) for p in rule.sources]
-    product = rule.combine(egraph, per_source, max_combinations, join="product")
-    hashed = rule.combine(egraph, per_source, max_combinations, join="hash")
+    product = combine_product(rule, egraph, per_source, max_combinations)
+    hashed = rule.combine(egraph, per_source, max_combinations)
     assert hashed == product  # same combinations, same order
     return product
 
@@ -283,12 +286,6 @@ class TestHashJoinEqualsProduct:
         eg.add_term("(relu a)")  # no sqrt anywhere: one source has no matches
         assert assert_join_equals_product(eg, zero_shared_rule()) == []
 
-    def test_unknown_join_rejected(self):
-        eg, _ = shared_input_egraph()
-        rule = matmul_merge_rule()
-        with pytest.raises(ValueError):
-            rule.combine(eg, [[], []], join="nested-loop")
-
 
 # --------------------------------------------------------------------- #
 # Property-based: join == product on random e-graphs
@@ -336,8 +333,9 @@ class TestHashJoinProperties:
     def test_searcher_join_equals_product_on_random_egraphs(self, egraph):
         searcher = MultiPatternSearcher(JOIN_RULES)
         canonical = searcher.search_canonical(egraph)
-        product = searcher.combine_matches(egraph, canonical, join="product")
-        hashed = searcher.combine_matches(egraph, canonical, join="hash")
+        hashed = searcher.combine_matches(egraph, canonical)
+        with mock.patch.object(MultiPatternRewrite, "combine", combine_product):
+            product = searcher.combine_matches(egraph, canonical)
         assert hashed == product
 
 
@@ -346,17 +344,24 @@ class TestHashJoinProperties:
 # --------------------------------------------------------------------- #
 
 
-def _runner_trajectory(**limit_overrides):
+def _naive_matcher(rewrites, multi_rewrites):
+    """The interpretive matcher over the patterns the runner's trie would hold."""
+    patterns, _keys = collect_trie_patterns(rewrites, MultiPatternSearcher(multi_rewrites))
+    return NaiveSearchAll(patterns)
+
+
+def _runner_trajectory(naive=False):
     eg = EGraph()
     eg.add_term(
         "(noop (relu (matmul 0 x w1)) (sqrt (matmul 0 x w2)) (matmul 0 x w3))"
     )
-    limits = RunnerLimits(iter_limit=4, k_multi=2, node_limit=4_000, **limit_overrides)
+    multi_rewrites = [matmul_merge_rule(), three_source_rule()]
     runner = Runner(
         eg,
         rewrites=[],
-        multi_rewrites=[matmul_merge_rule(), three_source_rule()],
-        limits=limits,
+        multi_rewrites=multi_rewrites,
+        limits=RunnerLimits(iter_limit=4, k_multi=2, node_limit=4_000),
+        trie_matcher=_naive_matcher([], multi_rewrites) if naive else None,
     )
     report = runner.run()
     return (
@@ -371,14 +376,12 @@ def _runner_trajectory(**limit_overrides):
 
 class TestRunnerJoinParity:
     def test_hash_and_product_runs_identical(self):
-        assert _runner_trajectory(multipattern_join="hash") == _runner_trajectory(
-            multipattern_join="product"
-        )
+        hashed = _runner_trajectory()
+        with mock.patch.object(MultiPatternRewrite, "combine", combine_product):
+            assert _runner_trajectory() == hashed
 
     def test_all_search_paths_identical_with_multi_rules(self):
-        golden = _runner_trajectory(matcher="naive")
-        assert _runner_trajectory(matcher="vm", search_mode="per-rule") == golden
-        assert _runner_trajectory(matcher="vm", search_mode="trie") == golden
+        assert _runner_trajectory() == _runner_trajectory(naive=True)
 
     def test_trie_admission_with_single_and_multi_rules(self):
         """Multi canonical sources ride the same trie as single-rule LHSs."""
@@ -386,21 +389,16 @@ class TestRunnerJoinParity:
 
         ruleset = default_ruleset()
         records = {}
-        for mode in ("naive", "per-rule", "trie"):
+        for mode in ("naive", "trie"):
             eg = EGraph()
             eg.add_term("(noop (matmul 0 x w1) (matmul 0 x w2))")
-            limits = RunnerLimits(
-                iter_limit=3,
-                k_multi=1,
-                node_limit=3_000,
-                matcher="vm" if mode != "naive" else "naive",
-                search_mode=mode if mode != "naive" else "trie",
-            )
+            naive = _naive_matcher(ruleset.rewrites, ruleset.multi_rewrites)
             runner = Runner(
                 eg,
                 rewrites=ruleset.rewrites,
                 multi_rewrites=ruleset.multi_rewrites,
-                limits=limits,
+                limits=RunnerLimits(iter_limit=3, k_multi=1, node_limit=3_000),
+                trie_matcher=naive if mode == "naive" else None,
             )
             report = runner.run()
             records[mode] = (
@@ -408,12 +406,7 @@ class TestRunnerJoinParity:
                 tuple(it.n_matches for it in report.iterations),
                 tuple(it.n_applied for it in report.iterations),
             )
-        assert records["per-rule"] == records["naive"]
         assert records["trie"] == records["naive"]
-
-    def test_runner_rejects_unknown_join(self):
-        with pytest.raises(ValueError):
-            Runner(EGraph(), limits=RunnerLimits(multipattern_join="zip"))
 
     def test_multi_join_seconds_reported(self):
         eg, _ = shared_input_egraph()

@@ -1,19 +1,20 @@
 """Tests for the operator-spec registry (repro.ir.opspec).
 
 The registry replaced three per-symbol if/elif chains (shape inference, FLOP
-accounting, byte accounting).  The old chains survive as *executable specs*
-(``infer_symbol_spec`` / ``op_flops_spec`` / ``op_bytes_spec``); the parity
-tests here pin the registry dispatch to them verdict by verdict over a corpus
-drawn from every built-in model plus handcrafted error cases.
+accounting, byte accounting).  The old chains are kept as a test oracle
+(``tests/oracles/opspec_chains.py``); the parity tests here pin the registry
+dispatch to them verdict by verdict over a corpus drawn from every built-in
+model plus handcrafted error cases.
 """
 
 import pytest
+from oracles.opspec_chains import infer_symbol_spec, op_bytes_spec, op_flops_spec
 
-from repro.costs.flops import op_bytes, op_bytes_spec, op_flops, op_flops_spec
+from repro.costs.flops import op_bytes, op_flops
 from repro.ir.graph import GraphBuilder
 from repro.ir.ops import OpKind
 from repro.ir.opspec import OPS, OpSpec, UnknownOperatorError, register_concat
-from repro.ir.shapes import infer_symbol, infer_symbol_spec
+from repro.ir.shapes import infer_symbol
 from repro.ir.tensor import ShapeError, TensorData
 from repro.models import MODEL_NAMES, build_model
 
@@ -189,8 +190,7 @@ class TestStrictSymbolResolution:
 
 class TestHotPathHasNoChain:
     """The acceptance criterion: no per-symbol if/elif dispatch in the
-    shapes / flops hot paths -- those modules may keep the chains only as
-    the ``*_spec`` executable references."""
+    shapes / flops hot paths -- the chains live only in the test oracle."""
 
     def test_shapes_module_dispatches_through_registry(self):
         from repro.ir import shapes

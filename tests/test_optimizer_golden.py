@@ -1,22 +1,31 @@
-"""Golden regression tests: every search path reproduces the naive path.
+"""Golden regression tests: the production search reproduces the test oracles.
 
-For a few small seed models, the optimizer is run with the naive interpretive
-matcher (the reference), the per-rule compiled e-matching VM + delta search,
-and the shared-prefix rule trie.  All three search the same frozen e-graph
-each iteration and return identical ordered match lists, so the exploration
-trajectories must coincide *bit-for-bit*: same match counts, same apply plan,
-same e-graph growth, same stop reason, same extracted cost.  Any divergence
-means a search path changed the semantics of the pipeline, not just its
-speed.
+For a few small seed models, the optimizer runs once on its production path
+(the shared-prefix rule trie, the multi-pattern hash join, compiled shape
+conditions) and once with one of those swapped for its oracle from
+``tests/oracles/`` -- the interpretive matcher, the Cartesian-product join,
+bottom-up shape inference per check.  Each pair searches the same frozen
+e-graph every iteration and hands the planner identical ordered match lists,
+so the exploration trajectories must coincide *bit-for-bit*: same match
+counts, same apply plan, same e-graph growth, same stop reason, same
+extracted cost.  Any divergence means the production path changed the
+semantics of the pipeline, not just its speed.
 """
 
 from __future__ import annotations
 
 import pytest
+from oracles.naive_match import NaiveSearchAll
+from oracles.product_join import combine_product
+from oracles.shape_spec import targets_valid_spec
 
 from repro.core.config import TensatConfig
-from repro.core.optimizer import TensatOptimizer
+from repro.core.session import OptimizationSession
+from repro.egraph.multipattern import MultiPatternRewrite, MultiPatternSearcher
+from repro.egraph.runner import collect_trie_patterns
 from repro.models import build_model
+from repro.rules.conditions import TargetsShapeValid
+from repro.rules.library import default_ruleset
 
 #: Small, fast exploration budgets; golden tests check equivalence, not scale.
 GOLDEN_CASES = [
@@ -28,17 +37,23 @@ GOLDEN_CASES = [
 
 BASE = dict(node_limit=2_000, iter_limit=5, k_multi=1)
 
-#: The three search paths behind the one pipeline contract.
-SEARCH_PATHS = [
-    ("vm-per-rule", dict(matcher="vm", search_mode="per-rule")),
-    ("vm-trie", dict(matcher="vm", search_mode="trie")),
-]
+
+def _naive_matcher() -> NaiveSearchAll:
+    """The interpretive matcher over the patterns a session's trie would hold."""
+    rules = default_ruleset()
+    patterns, _keys = collect_trie_patterns(
+        rules.rewrites, MultiPatternSearcher(rules.multi_rewrites)
+    )
+    return NaiveSearchAll(patterns)
 
 
-def _golden_record(model: str, overrides: dict, **search_path) -> dict:
-    config = TensatConfig(**{**BASE, **overrides, **search_path})
-    graph = build_model(model, "tiny")
-    result = TensatOptimizer(config=config).optimize(graph)
+def _session(model: str, overrides: dict, matcher=None) -> OptimizationSession:
+    config = TensatConfig(**{**BASE, **overrides})
+    return OptimizationSession(build_model(model, "tiny"), config=config, shared_trie=matcher)
+
+
+def _golden_record(model: str, overrides: dict, matcher=None) -> dict:
+    result = _session(model, overrides, matcher).result()
     report = result.runner_report
     return {
         "num_enodes": result.stats.num_enodes,
@@ -58,66 +73,47 @@ def _golden_record(model: str, overrides: dict, **search_path) -> dict:
 @pytest.mark.slow
 @pytest.mark.parametrize("model,overrides", GOLDEN_CASES, ids=[m for m, _ in GOLDEN_CASES])
 def test_vm_paths_reproduce_naive_golden_record(model, overrides):
-    golden = _golden_record(model, overrides, matcher="naive")
-    for name, search_path in SEARCH_PATHS:
-        record = _golden_record(model, overrides, **search_path)
-        assert record == golden, name
+    golden = _golden_record(model, overrides, matcher=_naive_matcher())
+    assert _golden_record(model, overrides) == golden
 
 
 @pytest.mark.slow
-def test_multipattern_hash_join_reproduces_product_golden_record():
+def test_multipattern_hash_join_reproduces_product_golden_record(monkeypatch):
     """The indexed multi-pattern join must not change the nasrnn trajectory.
 
-    ``multipattern_join="product"`` is the executable spec (Algorithm 1's
-    Cartesian product + filter); the hash join must walk the identical
-    trajectory bit-for-bit, with multi-pattern rules active long enough
-    (k_multi=2) for the join to matter.
+    The Cartesian product + filter (paper Algorithm 1) is the oracle; the
+    hash join must walk the identical trajectory bit-for-bit, with
+    multi-pattern rules active long enough (k_multi=2) for the join to
+    matter.
     """
     overrides = dict(extraction="greedy", k_multi=2)
-    golden = _golden_record("nasrnn", overrides, multipattern_join="product")
-    record = _golden_record("nasrnn", overrides, multipattern_join="hash")
-    assert record == golden
+    record = _golden_record("nasrnn", overrides)
+    monkeypatch.setattr(MultiPatternRewrite, "combine", combine_product)
+    assert _golden_record("nasrnn", overrides) == record
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("model", ["nasrnn", "resnext"])
-def test_condition_cache_off_matches_on(model):
-    """The condition-check cache must not change the trajectory.
-
-    ``condition_cache="off"`` evaluates every shape/condition check directly;
-    the memoizing cache must walk the identical trajectory bit-for-bit --
-    generation invalidation means a cached verdict is only served while the
-    bound e-classes are unchanged, so a divergence here is a stale verdict.
-    k_multi=2 keeps multi-pattern combination checks (the hot path the cache
-    targets) active across a rebuild boundary.
-    """
-    overrides = dict(extraction="greedy", k_multi=2)
-    golden = _golden_record(model, overrides, condition_cache="off")
-    record = _golden_record(model, overrides, condition_cache="memo")
-    assert record == golden
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("model", ["nasrnn", "resnext"])
-def test_shape_analysis_off_matches_on(model):
+def test_shape_analysis_off_matches_on(model, monkeypatch):
     """Compiled per-class shape facts must not change the trajectory.
 
-    ``shape_analysis="off"`` re-runs bottom-up shape inference per candidate
-    binding (the executable spec); ``"on"`` reads precomputed interned facts
-    from the e-class analysis and runs compiled flat programs for the target
-    spine.  Inference is a pure function of the bound classes' facts, so
-    every condition verdict -- and therefore the whole trajectory -- must be
-    bit-for-bit identical.  A divergence here means the analysis served a
-    stale or wrongly-merged fact.  k_multi=2 keeps the multi-pattern
-    combination checks (the hot path the analysis targets) active.
-    ``condition_cache`` is pinned to "off" on both sides so this test
-    isolates the analysis (the "auto" default resolves differently per
-    side).
+    The oracle re-runs bottom-up shape inference per candidate binding; the
+    compiled conditions read precomputed interned facts from the e-class
+    analysis and run flat programs for the target spine.  Inference is a
+    pure function of the bound classes' facts, so every condition verdict --
+    and therefore the whole trajectory -- must be bit-for-bit identical.  A
+    divergence here means the analysis served a stale or wrongly-merged
+    fact.  k_multi=2 keeps the multi-pattern combination checks (the hot
+    path the analysis targets) active.
     """
-    overrides = dict(extraction="greedy", k_multi=2, condition_cache="off")
-    golden = _golden_record(model, overrides, shape_analysis="off")
-    record = _golden_record(model, overrides, shape_analysis="on")
-    assert record == golden
+    overrides = dict(extraction="greedy", k_multi=2)
+    record = _golden_record(model, overrides)
+
+    def spec_call(self, egraph, match):
+        return targets_valid_spec(egraph, self.targets, match.subst)
+
+    monkeypatch.setattr(TargetsShapeValid, "__call__", spec_call)
+    assert _golden_record(model, overrides) == record
 
 
 @pytest.mark.slow
@@ -129,29 +125,22 @@ def test_birth_stamps_bit_identical_across_search_paths(model):
     repaired parent burned a birth stamp even when the canonical node
     inherited one, so stamps (which cycle filtering uses to pick the newest
     node) depended on rebuild order.  With the fix, the full
-    ``node -> stamp`` map is bit-for-bit identical across matcher=naive,
-    matcher=vm (per-rule), and the trie search mode.
+    ``node -> stamp`` map is bit-for-bit identical between the interpretive
+    matcher and the trie.
     """
-    from repro.core.session import OptimizationSession
 
-    def birth_map(**search_path):
-        config = TensatConfig(**{**BASE, "extraction": "greedy", **search_path})
-        session = OptimizationSession(build_model(model, "tiny"), config=config)
+    def birth_map(matcher=None):
+        session = _session(model, {"extraction": "greedy"}, matcher)
         session.explore()
         return dict(session.egraph._node_birth)
 
-    golden = birth_map(matcher="naive")
-    assert birth_map(matcher="vm", search_mode="per-rule") == golden
-    assert birth_map(matcher="vm", search_mode="trie") == golden
+    assert birth_map() == birth_map(_naive_matcher())
 
 
 @pytest.mark.slow
 def test_delta_matching_off_matches_delta_on():
     """Disabling delta seeding must not change the trajectory either."""
-    config = dict(BASE, extraction="greedy")
-    graph = build_model("nasrnn", "tiny")
-    with_delta = TensatOptimizer(config=TensatConfig(delta_matching=True, **config)).optimize(graph)
-    without = TensatOptimizer(config=TensatConfig(delta_matching=False, **config)).optimize(graph)
-    assert with_delta.stats.num_enodes == without.stats.num_enodes
-    assert with_delta.stats.optimized_cost == without.stats.optimized_cost
-    assert with_delta.stats.stop_reason == without.stats.stop_reason
+    overrides = dict(extraction="greedy")
+    assert _golden_record("nasrnn", dict(overrides, delta_matching=True)) == _golden_record(
+        "nasrnn", dict(overrides, delta_matching=False)
+    )

@@ -1,34 +1,21 @@
-"""Parallel sharded search: planner properties, executor parity, error paths.
+"""Whole-session parallelism: ``optimize_many`` fan-out and its preflights.
 
-The determinism contract under test (``docs/parallel.md``): every rule lives
-in exactly one trie op bucket, each bucket is assigned to exactly one shard,
-and the driver sorts every rule's final match list -- so any shard count and
-any executor must walk the *bit-for-bit* trajectory of the unsharded sweep.
-The golden tests here mirror ``tests/test_optimizer_golden.py``.
+``optimize_many(jobs=, executor=)`` runs each graph as its own serial
+session on a thread or process pool, so every result must equal the
+``jobs=1`` result, in submission order.  Thread workers share one compiled
+rule trie through :meth:`~repro.egraph.machine.TrieMatcher.fork`; process
+workers need every user-supplied component to pickle, which a preflight
+checks up front.
 """
 
 from __future__ import annotations
 
-import string
-
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from repro.core.batch import ensure_picklable, optimize_many
 from repro.core.config import ConfigError, TensatConfig
-from repro.core.events import PhaseTimingObserver, RecordingObserver
-from repro.core.optimizer import TensatOptimizer, optimize
-from repro.core.batch import optimize_many
-from repro.core.registry import SCHEDULERS
+from repro.core.events import RecordingObserver
 from repro.egraph.machine import TrieMatcher
-from repro.egraph.parallel import (
-    EGraphSnapshot,
-    ProcessSearchExecutor,
-    SerialSearchExecutor,
-    ThreadSearchExecutor,
-    ensure_picklable,
-    plan_shards,
-)
-from repro.egraph.runner import Runner, RunnerLimits
 from repro.ir.convert import egraph_from_graph
 from repro.models import build_model
 from repro.rules.library import default_ruleset
@@ -36,102 +23,13 @@ from repro.rules.library import default_ruleset
 BASE = dict(node_limit=2_000, iter_limit=5, k_multi=1, extraction="greedy")
 
 
-def _golden_record(model: str, **overrides) -> dict:
-    config = TensatConfig(**{**BASE, **overrides})
-    graph = build_model(model, "tiny")
-    result = TensatOptimizer(config=config).optimize(graph)
-    report = result.runner_report
-    return {
-        "num_enodes": result.stats.num_enodes,
-        "original_cost": result.stats.original_cost,
-        "optimized_cost": result.stats.optimized_cost,
-        "stop_reason": result.stats.stop_reason,
-        "iterations": report.num_iterations,
-        "per_iteration_matches": tuple(it.n_matches for it in report.iterations),
-        "per_iteration_applied": tuple(it.n_applied for it in report.iterations),
-        "per_iteration_deduped": tuple(it.n_deduped for it in report.iterations),
-        "per_iteration_enodes": tuple(it.n_enodes for it in report.iterations),
-    }
-
-
-# --------------------------------------------------------------------- #
-# Shard planner
-# --------------------------------------------------------------------- #
-
-bucket_keys = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6)
-weight_maps = st.dictionaries(bucket_keys, st.floats(0.0, 1e6), max_size=40)
-
-
-@given(weights=weight_maps, n_shards=st.integers(1, 12))
-@settings(max_examples=200, deadline=None)
-def test_plan_shards_partitions_exactly(weights, n_shards):
-    """Every bucket lands on exactly one shard: no drops, no duplicates."""
-    shards = plan_shards(weights, n_shards)
-    assert len(shards) == n_shards
-    flat = [key for shard in shards for key in shard]
-    assert sorted(flat) == sorted(weights)  # no drop, no dup
-    assert len(set(flat)) == len(flat)
-
-
-def test_plan_shards_is_deterministic_and_balanced():
-    weights = {f"op{i}": float(i) for i in range(20)}
-    a = plan_shards(weights, 4)
-    b = plan_shards(dict(reversed(list(weights.items()))), 4)
-    assert a == b  # plan depends on weights, not dict order
-    loads = [sum(weights[k] for k in shard) for shard in a]
-    # Greedy LPT is a 4/3-approximation of the optimal makespan.
-    assert max(loads) <= (4 / 3) * (sum(weights.values()) / 4) + max(weights.values())
-
-
-def test_plan_shards_rejects_bad_counts():
-    with pytest.raises(ValueError):
-        plan_shards({"a": 1.0}, 0)
-
-
-# --------------------------------------------------------------------- #
-# Snapshot + executor unit behaviour
-# --------------------------------------------------------------------- #
-
-
 def _nasrnn_egraph():
     egraph, _root = egraph_from_graph(build_model("nasrnn", "tiny"))
     return egraph
 
 
-def test_snapshot_mirrors_frozen_egraph():
-    import pickle
-
-    egraph = _nasrnn_egraph()
-    snap = pickle.loads(pickle.dumps(EGraphSnapshot.freeze(egraph)))
-    assert snap.is_clean() == egraph.is_clean()
-    for cls in egraph.classes():
-        assert snap.find(cls.id) == egraph.find(cls.id)
-        assert snap[cls.id].nodes == egraph[cls.id].nodes
-        for node in cls.nodes:
-            assert snap.lookup(node) == egraph.lookup(node)
-
-
-@pytest.mark.parametrize("executor_cls,jobs", [
-    (SerialSearchExecutor, 3),
-    (ThreadSearchExecutor, 2),
-    (ThreadSearchExecutor, 4),
-    (ProcessSearchExecutor, 2),
-])
-def test_executor_search_matches_inline_sweep(executor_cls, jobs):
-    """Raw ``search_all`` parity per executor, including shard accounting."""
-    patterns = [rw.lhs for rw in default_ruleset().rewrites]
-    egraph = _nasrnn_egraph()
-    base = TrieMatcher(patterns).search_all(egraph)
-    executor = executor_cls(jobs)
-    try:
-        got = TrieMatcher(patterns).search_all(egraph, executor=executor)
-        assert got == base
-        shards = executor.last_shards
-        assert len(shards) == jobs
-        assert [s.shard for s in shards] == list(range(jobs))
-        assert all(s.seconds >= 0.0 for s in shards)
-    finally:
-        executor.close()
+def _small_config(**overrides):
+    return TensatConfig(**{**BASE, "iter_limit": 3, **overrides})
 
 
 def test_trie_matcher_fork_shares_trie_not_cache():
@@ -148,113 +46,6 @@ def test_trie_matcher_fork_shares_trie_not_cache():
 def test_ensure_picklable_names_the_offender():
     with pytest.raises(ConfigError, match="the broken piece"):
         ensure_picklable({"the broken piece": lambda: None}, "this test")
-
-
-# --------------------------------------------------------------------- #
-# Golden bit-for-bit parity (the tentpole contract)
-# --------------------------------------------------------------------- #
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("model", ["nasrnn", "resnext"])
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_sharded_search_matches_serial_golden(model, executor):
-    """jobs=1 == jobs=2 == jobs=4 bit-for-bit, per executor and model."""
-    golden = _golden_record(model)
-    for jobs in (2, 4):
-        record = _golden_record(model, search_jobs=jobs, search_executor=executor)
-        assert record == golden, f"{executor} jobs={jobs}"
-
-
-@pytest.mark.slow
-def test_serial_executor_matches_unsharded_golden():
-    """The serial executor (sharding, no pool) is the determinism fixture."""
-    golden = _golden_record("nasrnn")
-    record = _golden_record("nasrnn", search_jobs=3, search_executor="serial")
-    assert record == golden
-
-
-@pytest.mark.slow
-def test_delta_search_shards_cleanly():
-    """The delta-sharding contract: incremental search stays incremental.
-
-    Delta closures are computed on the driver (which holds the live parent
-    lists) and workers only ever receive explicit candidate lists, so
-    ``jobs > 1`` must neither force full searches nor change the trajectory.
-    """
-
-    def record_and_full_flags(**overrides):
-        config = TensatConfig(**{**BASE, **overrides})
-        from repro.core.session import OptimizationSession
-
-        session = OptimizationSession(build_model("nasrnn", "tiny"), config=config)
-        report = session.explore()
-        flags = tuple(it.full_search for it in report.iterations)
-        matches = tuple(it.n_matches for it in report.iterations)
-        return flags, matches, report.n_enodes
-
-    serial = record_and_full_flags(delta_matching=True)
-    sharded = record_and_full_flags(delta_matching=True, search_jobs=2, search_executor="thread")
-    assert sharded == serial
-    # The contract is only meaningful if some iteration actually ran on a
-    # delta; iteration 0 is always full, later ones must not be forced full.
-    assert not all(serial[0]), "expected at least one delta-seeded iteration"
-
-
-# --------------------------------------------------------------------- #
-# Configuration errors
-# --------------------------------------------------------------------- #
-
-
-def test_config_rejects_jobs_without_trie_path():
-    with pytest.raises(ConfigError, match="search_jobs > 1 requires"):
-        TensatConfig(search_jobs=2, search_mode="per-rule")
-    with pytest.raises(ConfigError, match="search_jobs > 1 requires"):
-        TensatConfig(search_jobs=2, matcher="naive")
-    with pytest.raises(ConfigError, match="search_jobs must be >= 1"):
-        TensatConfig(search_jobs=0)
-
-
-def test_runner_rejects_jobs_without_trie_path():
-    """RunnerLimits is constructible unvalidated; Runner itself must reject."""
-    egraph = _nasrnn_egraph()
-    rules = default_ruleset().rewrites
-    limits = RunnerLimits(search_jobs=2, search_mode="per-rule", iter_limit=1)
-    with pytest.raises(ConfigError, match="search_jobs > 1 requires"):
-        Runner(egraph, rewrites=rules, limits=limits)
-
-
-def test_runner_rejects_unknown_executor():
-    egraph = _nasrnn_egraph()
-    limits = RunnerLimits(search_jobs=2, search_executor="carrier-pigeon", iter_limit=1)
-    with pytest.raises(ValueError, match="unknown search executor"):
-        Runner(egraph, rewrites=default_ruleset().rewrites, limits=limits)
-
-
-def test_process_executor_rejects_unpicklable_component():
-    """The bugfix sweep: a clear ConfigError instead of a pickle traceback.
-
-    A user-registered scheduler holding a lambda cannot cross a process
-    boundary; the Runner preflights every pluggable component it holds when
-    ``search_executor="process"`` and names the offender.
-    """
-    from repro.egraph.scheduler import SimpleScheduler
-
-    class LambdaScheduler(SimpleScheduler):
-        def __init__(self):
-            super().__init__()
-            self.policy = lambda rule: True  # unpicklable on purpose
-
-    SCHEDULERS.register("test-lambda", lambda match_limit, ban_length: LambdaScheduler())
-    try:
-        egraph = _nasrnn_egraph()
-        limits = RunnerLimits(
-            scheduler="test-lambda", search_jobs=2, search_executor="process", iter_limit=1
-        )
-        with pytest.raises(ConfigError, match="the rule scheduler"):
-            Runner(egraph, rewrites=default_ruleset().rewrites, limits=limits)
-    finally:
-        SCHEDULERS.unregister("test-lambda")
 
 
 def test_optimize_many_process_rejects_unpicklable_rules():
@@ -285,59 +76,6 @@ def test_optimize_many_rejects_bad_fanout_arguments():
             jobs=2,
             executor="process",
         )
-
-
-# --------------------------------------------------------------------- #
-# Stats spine
-# --------------------------------------------------------------------- #
-
-
-def _small_config(**overrides):
-    return TensatConfig(**{**BASE, "iter_limit": 3, **overrides})
-
-
-def test_search_shards_flow_through_stats_spine():
-    graph = build_model("nasrnn", "tiny")
-    result = optimize(graph, config=_small_config(search_jobs=2, search_executor="thread"))
-    report = result.runner_report
-
-    # IterationReport: every iteration carries one entry per shard.
-    for it in report.iterations:
-        assert [s["shard"] for s in it.search_shards] == [0, 1]
-        assert all(s["seconds"] >= 0.0 and s["buckets"] >= 0 for s in it.search_shards)
-
-    # RunnerReport aggregates per shard index, in index order.
-    agg = report.search_shards
-    assert [s["shard"] for s in agg] == [0, 1]
-    for idx, row in enumerate(agg):
-        assert row["buckets"] == sum(it.search_shards[idx]["buckets"] for it in report.iterations)
-    assert "search_shards" in report.summary()
-
-    # OptimizationStats --> --json payload.
-    payload = result.stats.as_dict()
-    assert payload["search_shards"] == agg
-
-    # Unsharded runs keep the field empty rather than absent.
-    unsharded = optimize(graph, config=_small_config())
-    assert unsharded.stats.as_dict()["search_shards"] == []
-
-
-def test_phase_timing_observer_reports_utilisation():
-    graph = build_model("nasrnn", "tiny")
-    observer = PhaseTimingObserver()
-    optimize(graph, config=_small_config(search_jobs=2, search_executor="thread"), observers=[observer])
-    assert set(observer.search_shard_seconds) == {0, 1}
-    assert 0.0 < observer.parallel_search_utilisation <= 1.0
-
-    unsharded = PhaseTimingObserver()
-    optimize(graph, config=_small_config(), observers=[unsharded])
-    assert unsharded.search_shard_seconds == {}
-    assert unsharded.parallel_search_utilisation == 0.0
-
-
-# --------------------------------------------------------------------- #
-# Batch fan-out
-# --------------------------------------------------------------------- #
 
 
 @pytest.mark.slow

@@ -12,19 +12,7 @@ import pytest
 
 from repro import TensatConfig, optimize
 from repro.cli import build_parser
-from repro.core import config as config_module
-from repro.core.registry import (
-    CONDITION_CACHES,
-    CYCLE_FILTERS,
-    EXTRACTORS,
-    ILP_BACKENDS,
-    MATCHERS,
-    MULTIPATTERN_JOINS,
-    Registry,
-    SCHEDULERS,
-    SEARCH_MODES,
-    SHAPE_ANALYSES,
-)
+from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, ILP_BACKENDS, Registry, SCHEDULERS
 from repro.egraph.extraction.greedy import GreedyExtractor
 from repro.egraph.scheduler import SimpleScheduler
 
@@ -85,26 +73,11 @@ class TestBuiltinEntries:
         assert SCHEDULERS.names() == ("simple", "backoff")
         assert EXTRACTORS.names() == ("ilp", "greedy", "portfolio")
         assert CYCLE_FILTERS.names() == ("efficient", "vanilla", "none")
-        assert MULTIPATTERN_JOINS.names() == ("hash", "product")
-        assert CONDITION_CACHES.names() == ("auto", "memo", "off")
-        assert MATCHERS.names() == ("vm", "naive")
-        assert SEARCH_MODES.names() == ("trie", "per-rule")
-        assert SHAPE_ANALYSES.names() == ("on", "off")
         assert ILP_BACKENDS.names() == ("scipy", "bnb")
-
-    def test_config_choice_tuples_are_registry_snapshots(self):
-        assert config_module.MATCHER_CHOICES == MATCHERS.names()
-        assert config_module.SCHEDULER_CHOICES == SCHEDULERS.names()
-        assert config_module.SEARCH_MODE_CHOICES == SEARCH_MODES.names()
-        assert config_module.MULTIPATTERN_JOIN_CHOICES == MULTIPATTERN_JOINS.names()
-        assert config_module.CONDITION_CACHE_CHOICES == CONDITION_CACHES.names()
-        assert config_module.CYCLE_FILTER_CHOICES == CYCLE_FILTERS.names()
-        assert config_module.EXTRACTION_CHOICES == EXTRACTORS.names()
-        assert config_module.SHAPE_ANALYSIS_CHOICES == SHAPE_ANALYSES.names()
 
     def test_config_validation_error_lists_choices(self):
         with pytest.raises(ValueError, match="available"):
-            TensatConfig(matcher="regex")
+            TensatConfig(scheduler="regex")
         with pytest.raises(ValueError, match="available"):
             TensatConfig(extraction="random")
         with pytest.raises(ValueError, match="available"):
@@ -116,12 +89,7 @@ class TestBuiltinEntries:
             a for a in parser._actions if hasattr(a, "choices") and "optimize" in (a.choices or {})
         )
         actions = {a.dest: a for a in subparsers.choices["optimize"]._actions}
-        assert tuple(actions["matcher"].choices) == MATCHERS.names()
-        assert tuple(actions["search_mode"].choices) == SEARCH_MODES.names()
         assert tuple(actions["scheduler"].choices) == SCHEDULERS.names()
-        assert tuple(actions["multipattern_join"].choices) == MULTIPATTERN_JOINS.names()
-        assert tuple(actions["condition_cache"].choices) == CONDITION_CACHES.names()
-        assert tuple(actions["shape_analysis"].choices) == SHAPE_ANALYSES.names()
         assert tuple(actions["extraction"].choices) == EXTRACTORS.names()
         assert tuple(actions["cycle_filter"].choices) == CYCLE_FILTERS.names()
 

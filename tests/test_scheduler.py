@@ -1,6 +1,7 @@
 """Tests for the rule schedulers of the exploration pipeline."""
 
 import pytest
+from oracles.naive_match import NaiveSearchAll
 
 from repro.egraph.egraph import EGraph
 from repro.egraph.rewrite import Rewrite
@@ -87,23 +88,18 @@ class TestBackoffScheduler:
         report = Runner(eg, rewrites=[Rewrite.parse("grow", "(f ?x)", "(f (g ?x))")], limits=limits).run()
         assert all(it.n_rules_banned == 0 for it in report.iterations)
 
-    @pytest.mark.parametrize("matcher,search_mode", [
-        ("naive", "trie"), ("vm", "per-rule"), ("vm", "trie"),
-    ])
-    def test_backoff_ban_lift_identical_across_matchers(self, matcher, search_mode):
+    def test_backoff_ban_lift_identical_across_matchers(self):
         """Regression: the ban-lift path used to reset the rule's compiled
-        incremental matcher unconditionally, even under matcher="naive".
-        Every matcher must survive a full ban/lift cycle and walk the exact
-        trajectory the naive reference walks."""
+        incremental matcher unconditionally.  The trie must survive a full
+        ban/lift cycle and walk the exact trajectory the interpretive
+        reference matcher (``tests/oracles/naive_match.py``) walks."""
+        rules = explosive_rules()
 
-        def run(m, sm):
+        def run(trie_matcher=None):
             eg = EGraph()
             eg.add_term("(noop (f a) (h b))")
-            limits = RunnerLimits(
-                iter_limit=8, scheduler="backoff", match_limit=2, ban_length=2,
-                matcher=m, search_mode=sm,
-            )
-            runner = Runner(eg, rewrites=explosive_rules(), limits=limits)
+            limits = RunnerLimits(iter_limit=8, scheduler="backoff", match_limit=2, ban_length=2)
+            runner = Runner(eg, rewrites=rules, limits=limits, trie_matcher=trie_matcher)
             report = runner.run()
             return (
                 report.stop_reason,
@@ -113,9 +109,9 @@ class TestBackoffScheduler:
                 eg.num_enodes,
             )
 
-        golden = run("naive", "per-rule")
+        golden = run(NaiveSearchAll([rw.lhs for rw in rules]))
         assert any(banned > 0 for banned in golden[3]), "test needs a real ban"
-        assert run(matcher, search_mode) == golden
+        assert run() == golden
 
 
 class TestSchedulerEndToEnd:

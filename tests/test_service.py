@@ -336,6 +336,30 @@ class TestDaemon:
             assert response["ok"] is False and response["error"]["type"] == "config"
             client.shutdown()
 
+    def test_removed_knob_is_config_error_and_daemon_keeps_serving(self):
+        # The search phase has one path; requests naming its old knobs get
+        # the typed config error, and the daemon goes on serving.
+        removed = {
+            "matcher": "naive",
+            "search_mode": "per-rule",
+            "multipattern_join": "product",
+            "condition_cache": "memo",
+            "shape_analysis": "off",
+            "search_jobs": 2,
+            "search_executor": "process",
+        }
+        with ServerThread(service_config=ServiceConfig(port=0)) as server:
+            client = ServiceClient(port=server.port)
+            for name, value in removed.items():
+                response = client.optimize(graph=small_graph(), config={name: value}, check=False)
+                assert response["ok"] is False
+                assert response["error"]["type"] == "config"
+                assert f"unknown config field {name!r}" in response["error"]["message"]
+            assert client.ping()
+            served = client.optimize(graph=small_graph())
+            assert served["ok"] and served["cache"] == "miss"
+            client.shutdown()
+
     def test_connection_error_is_typed(self):
         with ServerThread(service_config=ServiceConfig(port=0)) as server:
             dead_port = server.port

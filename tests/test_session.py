@@ -16,7 +16,6 @@ from repro import (
     RecordingObserver,
     PhaseTimingObserver,
     TensatConfig,
-    TensatOptimizer,
     optimize,
     optimize_many,
 )
@@ -191,32 +190,3 @@ class TestOptimizeMany:
         for result in results:
             assert result.optimized_cost <= result.original_cost + 1e-9
             assert result.stats.extraction_status.startswith("greedy") or result.stats.extraction_status
-
-    def test_batch_non_trie_config(self, shared_matmul_graph):
-        # No shared trie to build on the per-rule path; still works and agrees.
-        config = FAST.with_overrides(search_mode="per-rule", extraction="greedy")
-        (batched,) = optimize_many([shared_matmul_graph], config=config)
-        single = optimize(shared_matmul_graph, config=config)
-        assert _trajectory(batched) == _trajectory(single)
-
-
-class TestDeprecatedShims:
-    def test_explore_shim_warns_and_returns_tuple(self, shared_matmul_graph):
-        optimizer = TensatOptimizer(config=FAST)
-        with pytest.warns(DeprecationWarning, match="explore"):
-            egraph, root, cycle_filter, report = optimizer.explore(shared_matmul_graph)
-        assert report.num_iterations >= 1
-        assert egraph.num_enodes > 0
-        with pytest.warns(DeprecationWarning, match="extract"):
-            extraction = optimizer.extract(egraph, root, cycle_filter)
-        assert extraction.expr is not None
-
-    def test_shims_match_session(self, shared_matmul_graph):
-        optimizer = TensatOptimizer(config=FAST)
-        with pytest.warns(DeprecationWarning):
-            _egraph, _root, _filter, report = optimizer.explore(shared_matmul_graph)
-        session = optimizer.session(shared_matmul_graph)
-        session_report = session.explore()
-        assert report.num_iterations == session_report.num_iterations
-        assert report.n_enodes == session_report.n_enodes
-        assert report.stop_reason == session_report.stop_reason

@@ -1,13 +1,19 @@
 """Tests for concrete-graph matching and substitution (the sequential baselines' engine)."""
 
+from unittest import mock
+
 import pytest
+from oracles.shape_spec import targets_valid_spec
 
 from repro.backend import execute_graph, outputs_allclose
 from repro.costs import AnalyticCostModel
+from repro.egraph.shapeanalysis import intern_data
 from repro.ir.graph import GraphBuilder
 from repro.ir.validate import validate_graph
+from repro.models import build_model
 from repro.rules import default_ruleset
-from repro.search.substitution import apply_to_graph, find_graph_matches
+from repro.rules.conditions import TargetsShapeValid
+from repro.search.substitution import GraphAnalysisAdapter, apply_to_graph, find_graph_matches
 
 
 def fuse_graph():
@@ -53,6 +59,36 @@ class TestMatching:
         g = shared_matmul_graph()
         rule = RULES.get("matmul-merge-shared-lhs").rule
         assert len(find_graph_matches(g, rule, max_matches=1)) == 1
+
+
+class TestAdapterConditionVerdicts:
+    """The adapter serves interned facts, like the e-graph's shape analysis.
+
+    Compiled shape conditions cache verdicts under the ids of the facts they
+    read; a fact that is not interned can be freed with its graph and its id
+    reused by another graph's fact, which would serve a stale verdict.  The
+    rule objects below are shared across every model, so their verdict
+    caches see the facts of many graphs in turn.
+    """
+
+    def test_analysis_data_is_interned(self):
+        graph = shared_matmul_graph()
+        adapter = GraphAnalysisAdapter(graph)
+        for node in graph.nodes:
+            assert adapter.analysis_data(node.id) is intern_data(node.data)
+
+    @pytest.mark.parametrize("model", ["nasrnn", "resnext", "bert", "squeezenet"])
+    def test_verdicts_equal_shape_spec_for_every_rule(self, model):
+        graph = build_model(model, "tiny")
+        compiled = {rule_def.name: find_graph_matches(graph, rule_def.rule) for rule_def in RULES}
+
+        def spec_call(self, egraph, match):
+            return targets_valid_spec(egraph, self.targets, match.subst)
+
+        with mock.patch.object(TargetsShapeValid, "__call__", spec_call):
+            spec = {rule_def.name: find_graph_matches(graph, rule_def.rule) for rule_def in RULES}
+        assert compiled == spec
+        assert any(compiled.values())
 
 
 class TestApplication:

@@ -1,18 +1,17 @@
 #!/usr/bin/env python
 """Fail when the public API surface drifts from its sources of truth.
 
-Four checks:
+Five checks:
 
 1. every name in ``repro.__all__`` actually imports (no stale exports),
 2. every CLI ``choices=`` list for a strategy knob equals the corresponding
    component registry's names (no hand-maintained tuples),
-3. the legacy ``*_CHOICES`` snapshot tuples in ``repro.core.config`` match
-   the registries they snapshot,
-4. the extraction-at-scale lockstep: ``"portfolio"`` is registered in
+3. the extraction-at-scale lockstep: ``"portfolio"`` is registered in
    ``EXTRACTORS`` and the CLI defaults for ``--extraction-deadline`` /
    ``--no-extraction-prune`` / ``--no-ilp-warm-start`` equal the
    ``TensatConfig`` field defaults (the config dataclass is the single
    source of truth for engine-knob defaults),
+4. the ``serve`` CLI defaults equal the ``ServiceConfig`` field defaults,
 5. the operator-spec registry lockstep: every ``OpKind`` has a complete
    ``OPS`` spec, every registered symbol round-trips through
    ``resolve_symbol``, ``serialize.valid_ops()`` mirrors ``OPS.names()``,
@@ -39,43 +38,14 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import repro  # noqa: E402
 from repro.cli import build_parser  # noqa: E402
 from repro.core import config as config_module  # noqa: E402
-from repro.core.registry import (  # noqa: E402
-    CONDITION_CACHES,
-    CYCLE_FILTERS,
-    EXTRACTORS,
-    MATCHERS,
-    MULTIPATTERN_JOINS,
-    SCHEDULERS,
-    SEARCH_EXECUTORS,
-    SEARCH_MODES,
-    SHAPE_ANALYSES,
-)
+from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, SCHEDULERS  # noqa: E402
 from repro.models import MODEL_NAMES  # noqa: E402
 
 #: CLI argument dest -> the registry its choices must equal.
 CLI_REGISTRY_KNOBS = {
-    "matcher": MATCHERS,
-    "search_mode": SEARCH_MODES,
-    "search_executor": SEARCH_EXECUTORS,
     "scheduler": SCHEDULERS,
-    "multipattern_join": MULTIPATTERN_JOINS,
-    "condition_cache": CONDITION_CACHES,
-    "shape_analysis": SHAPE_ANALYSES,
     "extraction": EXTRACTORS,
     "cycle_filter": CYCLE_FILTERS,
-}
-
-#: config-module snapshot tuple -> the registry it snapshots.
-CONFIG_SNAPSHOTS = {
-    "MATCHER_CHOICES": MATCHERS,
-    "SCHEDULER_CHOICES": SCHEDULERS,
-    "SEARCH_MODE_CHOICES": SEARCH_MODES,
-    "SEARCH_EXECUTOR_CHOICES": SEARCH_EXECUTORS,
-    "MULTIPATTERN_JOIN_CHOICES": MULTIPATTERN_JOINS,
-    "CONDITION_CACHE_CHOICES": CONDITION_CACHES,
-    "CYCLE_FILTER_CHOICES": CYCLE_FILTERS,
-    "EXTRACTION_CHOICES": EXTRACTORS,
-    "SHAPE_ANALYSIS_CHOICES": SHAPE_ANALYSES,
 }
 
 
@@ -121,19 +91,6 @@ def check_cli_choices() -> list:
     missing = set(CLI_REGISTRY_KNOBS) - seen
     if missing:
         problems.append(f"no CLI flag exposes the registry-backed knob(s): {sorted(missing)}")
-    return problems
-
-
-def check_config_snapshots() -> list:
-    """The legacy ``*_CHOICES`` tuples still mirror the registries."""
-    problems = []
-    for attr, registry in CONFIG_SNAPSHOTS.items():
-        snapshot = getattr(config_module, attr, None)
-        if snapshot != registry.names():
-            problems.append(
-                f"repro.core.config.{attr} == {snapshot!r} != {registry.kind} "
-                f"registry {registry.names()!r}"
-            )
     return problems
 
 
@@ -246,7 +203,6 @@ def main() -> int:
     problems = (
         check_exports()
         + check_cli_choices()
-        + check_config_snapshots()
         + check_extraction_lockstep()
         + check_service_lockstep()
         + check_ops_lockstep()
@@ -259,7 +215,7 @@ def main() -> int:
     n_knobs = len(CLI_REGISTRY_KNOBS)
     print(
         f"ok: {len(repro.__all__)} exports import, {n_knobs} CLI strategy knobs "
-        "match their registries, config snapshots consistent, extraction "
+        "match their registries, extraction "
         "deadline/prune/warm-start defaults in lockstep, serve flags match "
         "ServiceConfig, OPS registry / serializer / ONNX importer / CLI in lockstep"
     )
