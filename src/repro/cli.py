@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     opt.add_argument(
         "--no-extraction-prune", dest="extraction_prune", action="store_false",
-        help="disable dominated-node pruning / singleton collapse before the "
+        help="disable dominated-node pruning / forced classes before the "
              "exact extraction solvers (optimum-preserving when enabled)",
     )
     opt.add_argument(

@@ -77,11 +77,13 @@ class TensatConfig:
     #: "ilp", "greedy", or "portfolio" (anytime greedy -> BnB -> ILP race
     #: under ``extraction_deadline``; see docs/extraction.md).
     extraction: str = "ilp"
-    #: Prune dominated e-nodes and fix singleton e-classes before solving
-    #: (optimum-preserving; shrinks the ILP variable space).
+    #: Prune dominated e-nodes and force the e-classes every selection must
+    #: cover before solving (optimum-preserving; shrinks the ILP variable
+    #: space and tightens its LP relaxation).
     extraction_prune: bool = True
-    #: Seed the exact solvers from the greedy solution (BnB incumbent /
-    #: objective cutoff for HiGHS).  Optimum-preserving.
+    #: Compute the greedy solution before the exact solve: BnB's starting
+    #: incumbent, and the answer kept when HiGHS stops at a limit without
+    #: one.  Optimum-preserving.
     ilp_warm_start: bool = True
     #: Total wall-clock budget in seconds for extraction="portfolio".
     extraction_deadline: float = 60.0

@@ -14,8 +14,8 @@ Two extractors are provided, matching the paper's Section 5:
   feasible result with per-stage provenance (see ``docs/extraction.md``).
 
 All extractors run on top of the shared problem-reduction pass in
-:mod:`repro.egraph.extraction.problem` (dominated-node pruning + singleton
-collapse) and can be warm-started from the greedy solution.
+:mod:`repro.egraph.extraction.problem` (dominated-node pruning + forced
+classes) and can be warm-started from the greedy solution.
 """
 
 from repro.egraph.extraction.base import ExtractionResult, Extractor

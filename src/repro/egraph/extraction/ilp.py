@@ -14,13 +14,15 @@ program.  The paper's formulation is reproduced exactly, including:
 Two extraction-at-scale levers sit on top (see ``docs/extraction.md``):
 
 * **problem reduction** (``reduce_problem``, default on): dominated e-nodes
-  are pruned and the forced singleton chain from the root is fixed before the
-  solver sees the problem (:func:`~repro.egraph.extraction.problem.build_extraction_problem`);
+  are pruned, and the e-classes every selection must cover are forced before
+  the solver sees the problem
+  (:func:`~repro.egraph.extraction.problem.build_extraction_problem`).  With
+  them forced, HiGHS proves the optimum at or near the root node;
 * **warm starting** (``warm_start``, default on): the greedy solution is
-  computed on the reduced problem and seeds the solve -- the ``bnb`` backend
-  takes it as its starting incumbent, and the HiGHS backend (which scipy
-  exposes without a MIP-start hook) gets an objective-cutoff row
-  ``c @ x <= greedy_cost`` that prunes everything the incumbent already beats.
+  computed on the reduced problem.  The ``bnb`` backend takes it as its
+  starting incumbent.  scipy exposes no MIP-start hook for HiGHS, so there
+  the greedy vector is only what is returned, with status
+  ``'<status>_warm_incumbent'``, when HiGHS stops without a solution.
 """
 
 from __future__ import annotations
@@ -42,11 +44,6 @@ from repro.egraph.language import ENode
 
 __all__ = ["ILPExtractor", "ILPSolveInfo"]
 
-#: Slack added to the warm-start objective cutoff so the incumbent itself
-#: (and every equal-cost optimum) stays feasible under floating-point noise.
-_CUTOFF_SLACK = 1e-6
-
-
 @dataclass
 class ILPSolveInfo:
     """Details about one ILP solve (exposed for the Table 5 benchmark)."""
@@ -63,6 +60,11 @@ class ILPSolveInfo:
     warm_start_objective: Optional[float] = None
     #: Variable-space shrink factor of the problem-reduction pass (1.0 = none).
     prune_ratio: float = 1.0
+    #: HiGHS's branch-and-bound node count, best dual bound and relative
+    #: gap (None on the ``bnb`` backend, or when HiGHS reports none).
+    mip_node_count: Optional[int] = None
+    mip_dual_bound: Optional[float] = None
+    mip_gap: Optional[float] = None
 
 
 class ILPExtractor(Extractor):
@@ -93,11 +95,13 @@ class ILPExtractor(Extractor):
         optimum, small positive values trade a bounded amount of optimality
         for a large reduction in solve time on big e-graphs.
     reduce_problem:
-        Prune dominated e-nodes and fix the singleton chain before solving
-        (optimum-preserving; see :mod:`repro.egraph.extraction.problem`).
+        Prune dominated e-nodes and force the e-classes every selection must
+        cover before solving (optimum-preserving; see
+        :mod:`repro.egraph.extraction.problem`).
     warm_start:
-        Seed the solver from the greedy solution (incumbent for ``bnb``,
-        objective cutoff for ``scipy``).  Optimum-preserving.
+        Compute the greedy solution first: the starting incumbent for
+        ``bnb``, and for ``scipy`` the answer returned when HiGHS stops at a
+        limit without one.  Optimum-preserving.
     """
 
     def __init__(
@@ -141,22 +145,12 @@ class ILPExtractor(Extractor):
             collapse_singletons=self.reduce_problem,
         )
 
-    def _solve_scipy(self, problem: ILPProblem, cutoff: Optional[float] = None):
+    def _solve_scipy(self, problem: ILPProblem):
+        """Solve with HiGHS; returns ``(x, objective, status, solver_facts)``."""
         constraints = [
             LinearConstraint(problem.a_ub, -np.inf, problem.b_ub),
             LinearConstraint(problem.a_eq, problem.b_eq, problem.b_eq),
         ]
-        if cutoff is not None:
-            # The warm-start surrogate: no solution worse than the greedy
-            # incumbent is worth enumerating.  The row is normalized by
-            # max|c| -- HiGHS mis-declares infeasibility when the cost
-            # coefficients are very small (sub-millisecond node costs).
-            scale = float(np.abs(problem.c).max()) or 1.0
-            constraints.append(
-                LinearConstraint(
-                    (problem.c / scale).reshape(1, -1), -np.inf, [cutoff / scale + _CUTOFF_SLACK]
-                )
-            )
         # Always passed: HiGHS's own default gap is 1e-4, not 0.
         options = {"time_limit": self.time_limit, "presolve": True, "mip_rel_gap": self.mip_rel_gap}
         res = milp(
@@ -166,12 +160,17 @@ class ILPExtractor(Extractor):
             bounds=Bounds(problem.lower, problem.upper),
             options=options,
         )
+        facts = {
+            "mip_node_count": getattr(res, "mip_node_count", None),
+            "mip_dual_bound": getattr(res, "mip_dual_bound", None),
+            "mip_gap": getattr(res, "mip_gap", None),
+        }
         if res.status == 0 and res.x is not None:
-            return res.x, float(res.fun), "optimal"
+            return res.x, float(res.fun), "optimal", facts
         if res.x is not None:
-            return res.x, float(res.fun), "feasible"
+            return res.x, float(res.fun), "feasible", facts
         status = {1: "iteration_or_time_limit", 2: "infeasible", 3: "unbounded"}.get(res.status, "failed")
-        return None, float("inf"), status
+        return None, float("inf"), status, facts
 
     def _solve_bnb(self, problem: ILPProblem, incumbent=None):
         res = solve_branch_and_bound(
@@ -211,10 +210,9 @@ class ILPExtractor(Extractor):
                 stage_costs["greedy"] = warm[1]
 
         t_solve = time.perf_counter()
+        facts: Dict[str, Optional[float]] = {}
         if self.backend == "scipy":
-            x, objective, status = self._solve_scipy(
-                problem, cutoff=warm[1] if warm is not None else None
-            )
+            x, objective, status, facts = self._solve_scipy(problem)
         else:
             x, objective, status = self._solve_bnb(problem, incumbent=warm)
         stage_name = "ilp" if self.backend == "scipy" else "bnb"
@@ -231,6 +229,7 @@ class ILPExtractor(Extractor):
             warm_started=warm is not None,
             warm_start_objective=warm[1] if warm is not None else None,
             prune_ratio=problem.reduction.variable_ratio if problem.reduction else 1.0,
+            **facts,
         )
 
         if x is None and warm is not None:

@@ -10,8 +10,9 @@ races them **sequentially** under one deadline:
    never raises on a tight deadline, it degrades to the greedy result);
 2. ``bnb`` runs with a slice of the remaining budget, warm-started from the
    greedy incumbent;
-3. ``ilp`` runs with everything left, warm-started via an objective cutoff,
-   unless BnB already proved optimality.
+3. ``ilp`` runs with everything left, on the reduced problem whose forced
+   classes let HiGHS prove most optima at the root, unless BnB already
+   proved optimality.
 
 The returned :class:`~repro.egraph.extraction.base.ExtractionResult` carries
 per-stage provenance: ``stages`` maps each stage that ran to its wall time,

@@ -15,10 +15,13 @@ solver runs (see ``docs/extraction.md``):
   more.  Dominated nodes (and filter-list entries) are dropped entirely and
   reachability is recomputed over the survivors, so whole e-classes can fall
   out of the problem.
-* **singleton collapse** (``collapse_singletons``): starting at the root, an
-  e-class with exactly one selectable candidate must pick it whenever the
-  class is demanded; the forced chain from the root has its variables fixed to
-  1 (``lower = upper = 1``), removing them from the solver's branching space.
+* **forced classes** (``collapse_singletons``): the e-classes every
+  selection from the root must cover are computed as a least fixpoint over
+  the candidates' child classes (:func:`_forced_classes`).  In each such
+  class a single selectable candidate is fixed to 1 (``lower = upper = 1``),
+  and several candidates get ``sum x = 1`` instead of ``sum x <= 1``.  A
+  shared descendant then counts in full in the LP relaxation, not at its
+  parents' largest fractional pick.
 
 Both passes preserve the optimal objective value exactly (property-tested in
 ``tests/test_extraction_equivalence.py``); :class:`ReductionStats` records
@@ -66,8 +69,10 @@ class ReductionStats:
     #: Dominated e-nodes dropped (a subset of ``nodes_before - nodes_after``;
     #: the rest are filter-list entries and nodes orphaned by reachability).
     dominated_pruned: int = 0
-    #: Variables fixed to 1 by the singleton-collapse chain from the root.
+    #: Variables fixed to 1: the one selectable candidate of a forced class.
     singletons_fixed: int = 0
+    #: E-classes every selection must cover, the root included.
+    classes_forced: int = 0
 
     @property
     def variable_ratio(self) -> float:
@@ -84,6 +89,7 @@ class ReductionStats:
             "classes_after": self.classes_after,
             "dominated_pruned": self.dominated_pruned,
             "singletons_fixed": self.singletons_fixed,
+            "classes_forced": self.classes_forced,
             "variable_ratio": round(self.variable_ratio, 4),
         }
 
@@ -160,6 +166,73 @@ def _dominated_indices(
     return dominated
 
 
+def _forced_classes(
+    root: int,
+    candidates: Sequence[Sequence[int]],
+    node_children: Sequence[Sequence[int]],
+) -> List[int]:
+    """Class positions every selection covering ``root`` must cover.
+
+    ``candidates[C]`` lists the selectable nodes of class position ``C`` and
+    ``node_children[i]`` the child class positions of node ``i`` other than
+    its own class.  The result is ``{root}`` plus the least fixpoint of
+
+        must(C) = AND over n in C of  OR over k in children(n) of ({k} | must(k))
+
+    taken at the root, with each ``must`` an int bitset over class
+    positions.  Every step is sound for any integral solution of the
+    covering rows, cyclic or not: a covered class picks some candidate, and
+    that candidate's child classes are covered in turn.  On an acyclic
+    candidate graph one children-first pass reaches the fixpoint; otherwise
+    the pass repeats from the empty sets until nothing changes.
+    """
+    # Children-first order of the classes the root reaches through
+    # selectable candidates; a back edge means the pass must iterate.
+    state = [0] * len(candidates)  # 0 unvisited, 1 on the stack, 2 done
+    order: List[int] = []
+    acyclic = True
+    state[root] = 1
+    stack = [(root, iter([k for i in candidates[root] for k in node_children[i]]))]
+    while stack:
+        cls, pending = stack[-1]
+        for k in pending:
+            if state[k] == 0:
+                state[k] = 1
+                stack.append((k, iter([g for i in candidates[k] for g in node_children[i]])))
+                break
+            if state[k] == 1:
+                acyclic = False
+        else:
+            stack.pop()
+            state[cls] = 2
+            order.append(cls)
+
+    # closure[C] = {C} | must(C), starting from must = {} everywhere.
+    closure = [1 << pos for pos in range(len(candidates))]
+    changed = True
+    while changed:
+        changed = False
+        for cls in order:
+            # All bits set is the identity of the intersection; a class with
+            # no selectable candidate forces nothing.
+            required = -1 if candidates[cls] else 0
+            for i in candidates[cls]:
+                covered = 0
+                for k in node_children[i]:
+                    covered |= closure[k]
+                required &= covered
+                if not required:
+                    break
+            required |= 1 << cls
+            if required != closure[cls]:
+                closure[cls] = required
+                changed = True
+        changed = changed and not acyclic
+
+    forced = closure[root]
+    return [pos for pos in range(len(candidates)) if forced >> pos & 1]
+
+
 def build_extraction_problem(
     egraph: EGraph,
     root: int,
@@ -197,26 +270,29 @@ def build_extraction_problem(
     ``prune_dominated`` / ``collapse_singletons`` run the optimum-preserving
     reduction passes described in the module docstring; the resulting
     :class:`ILPProblem` carries a :class:`ReductionStats` in ``reduction``.
+    Under ``collapse_singletons`` the at-most-one row of each forced class
+    with several candidates moves to ``a_eq`` as ``sum x = 1``, after the
+    root's row, so the total row count stays the same.
     """
     root = egraph.find(root)
     filtered = filter_list.as_set(egraph) if filter_list is not None else frozenset()
 
     # Only e-classes reachable from the root through unfiltered e-nodes can
     # ever be selected, so restrict the problem to them.  This keeps the ILP
-    # size proportional to the useful part of the e-graph.
-    reachable: set = set()
+    # size proportional to the useful part of the e-graph.  Each reachable
+    # class's nodes are canonicalized once here; canonical children are
+    # canonical class ids.
+    reachable: Dict[int, List[ENode]] = {}
     stack = [root]
     while stack:
-        cid = egraph.find(stack.pop())
+        cid = stack.pop()
         if cid in reachable:
             continue
-        reachable.add(cid)
-        for node in egraph[cid].nodes:
-            canonical = egraph.canonicalize(node)
+        canonical_nodes = reachable[cid] = [egraph.canonicalize(node) for node in egraph[cid].nodes]
+        for canonical in canonical_nodes:
             if canonical in filtered:
                 continue
             for child in canonical.children:
-                child = egraph.find(child)
                 if child not in reachable:
                     stack.append(child)
 
@@ -234,13 +310,12 @@ def build_extraction_problem(
         cid = egraph.find(eclass.id)
         if cid not in class_pos:
             continue
-        for node in eclass.nodes:
-            canonical = egraph.canonicalize(node)
+        for canonical in reachable[cid]:
             if canonical in seen_per_class[cid]:
                 continue
             # E-nodes whose children fall outside the reachable set can only
             # occur through filtered children; they can never be selected.
-            if any(egraph.find(ch) not in class_pos for ch in canonical.children):
+            if any(ch not in class_pos for ch in canonical.children):
                 continue
             seen_per_class[cid].add(canonical)
             idx = len(nodes)
@@ -260,11 +335,11 @@ def build_extraction_problem(
 
     # Each node is priced once; the objective below reuses these costs.
     raw_costs = np.array([node_cost(node, egraph) for _, node in nodes], dtype=float)
+    # Each node's child classes, shared by pruning, the forced-class pass and
+    # the covering rows.
+    child_sets: List[Set[int]] = [set(node.children) for _, node in nodes]
 
     if prune_dominated:
-        child_sets: List[Set[int]] = [
-            {egraph.find(ch) for ch in node.children} for _, node in nodes
-        ]
         # Filter-list entries and shape-invalid nodes are forced to zero
         # anyway; under pruning they are simply dropped.
         dropped: Set[int] = {
@@ -303,6 +378,7 @@ def build_extraction_problem(
         old_nodes = nodes
         nodes = [(class_pos[node_class[i]], old_nodes[i][1]) for i in keep]
         raw_costs = raw_costs[keep]
+        child_sets = [child_sets[i] for i in keep]
         nodes_filtered = [False] * len(nodes)
         node_class = [node_class[i] for i in keep]
         class_node_indices = {cid: [] for cid in class_ids}
@@ -336,39 +412,42 @@ def build_extraction_problem(
         else:
             upper[n_nodes:] = 1.0
 
+    # Classes (other than the root) whose at-most-one row becomes an equality.
+    exactly_one: Set[int] = set()
     if collapse_singletons:
-        # The root class must make a pick; follow the chain of single-candidate
-        # classes it forces and fix those variables to 1.  Self-loop nodes are
-        # excluded: under cycle constraints they carry an x_i <= 0 row.
-        forced_stack = [root]
-        forced_seen: Set[int] = set()
-        while forced_stack:
-            cid = forced_stack.pop()
-            if cid in forced_seen:
-                continue
-            forced_seen.add(cid)
-            selectable = [i for i in class_node_indices[cid] if upper[i] > 0.5]
-            if len(selectable) != 1:
-                continue
-            idx = selectable[0]
-            child_ids = {egraph.find(ch) for ch in nodes[idx][1].children}
-            if cid in child_ids:
-                continue
-            if lower[idx] < 0.5:
-                lower[idx] = 1.0
-                reduction.singletons_fixed += 1
-            forced_stack.extend(child_ids)
+        candidates: List[List[int]] = [[] for _ in range(n_classes)]
+        node_children: List[List[int]] = []
+        for i, (cls_pos, _) in enumerate(nodes):
+            node_children.append([class_pos[k] for k in child_sets[i] if class_pos[k] != cls_pos])
+            if upper[i] > 0.5:
+                candidates[cls_pos].append(i)
+        forced = _forced_classes(class_pos[root], candidates, node_children)
+        reduction.classes_forced = len(forced)
+        for pos in forced:
+            cid = class_ids[pos]
+            if len(candidates[pos]) == 1:
+                # Self-loop nodes are not fixed: under cycle constraints they
+                # carry an x_i <= 0 row.
+                idx = candidates[pos][0]
+                if cid not in child_sets[idx]:
+                    lower[idx] = 1.0
+                    reduction.singletons_fixed += 1
+            elif len(candidates[pos]) > 1 and cid != root and at_most_one_per_class:
+                exactly_one.add(cid)
 
-    # Equality constraint (2): exactly one pick in the root class.
+    # Equality constraint (2): exactly one pick in the root class, followed
+    # by the forced classes' exactly-one rows.
     eq_rows: List[int] = []
     eq_cols: List[int] = []
     eq_vals: List[float] = []
-    for idx in class_node_indices[root]:
-        eq_rows.append(0)
-        eq_cols.append(idx)
-        eq_vals.append(1.0)
-    a_eq = sparse.csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=(1, n_vars))
-    b_eq = np.array([1.0])
+    eq_classes = [root] + [cid for cid in class_ids if cid in exactly_one]
+    for eq_row, cid in enumerate(eq_classes):
+        for idx in class_node_indices[cid]:
+            eq_rows.append(eq_row)
+            eq_cols.append(idx)
+            eq_vals.append(1.0)
+    a_eq = sparse.csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=(len(eq_classes), n_vars))
+    b_eq = np.ones(len(eq_classes))
 
     # Inequality constraints.
     ub_rows: List[int] = []
@@ -383,7 +462,7 @@ def build_extraction_problem(
     if at_most_one_per_class:
         for cid in class_ids:
             indices = class_node_indices[cid]
-            if len(indices) <= 1:
+            if len(indices) <= 1 or cid in exactly_one:
                 continue
             for j in indices:
                 ub_rows.append(row)
@@ -392,9 +471,8 @@ def build_extraction_problem(
             b_ub.append(1.0)
             row += 1
 
-    for i, (cls_pos, node) in enumerate(nodes):
-        child_classes = {egraph.find(ch) for ch in node.children}
-        for m in child_classes:
+    for i, (cls_pos, _) in enumerate(nodes):
+        for m in child_sets[i]:
             # (3)  x_i - sum_{j in e_m} x_j <= 0
             ub_rows.append(row)
             ub_cols.append(i)

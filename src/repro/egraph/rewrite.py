@@ -73,10 +73,12 @@ class Rewrite:
 
         Conditions are re-evaluated on every search: e-class analysis data
         can change between iterations, so a condition that once failed may
-        later pass for the same canonical match.
+        later pass for the same canonical match.  A rule without a condition
+        returns ``matches`` itself, not a copy; callers pass lists they own
+        (``TrieMatcher.search_all`` returns fresh ones).
         """
         if self.condition is None:
-            return list(matches)
+            return matches
         condition = self.condition
         return [m for m in matches if condition(egraph, m)]
 

@@ -14,13 +14,17 @@ constraints enabled; greedy is acyclic by construction.
 
 import string
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from oracles.greedy_sweep import greedy_sweep
+from test_extraction_ilp import forced_class_positions
 from repro import sexpr as sx
 from repro.egraph.cycles import FilterList
 from repro.egraph.egraph import EGraph
+from repro.egraph.extraction.bnb import incumbent_is_feasible
 from repro.egraph.extraction.greedy import GreedyExtractor
 from repro.egraph.extraction.ilp import ILPExtractor
 from repro.egraph.extraction.problem import build_extraction_problem, warm_start_solution
@@ -178,6 +182,82 @@ class TestStrategyEquivalence:
         warm = ILPExtractor(nc, with_cycle_constraints=True, warm_start=True).extract(eg, root)
         cold = ILPExtractor(nc, with_cycle_constraints=True, warm_start=False).extract(eg, root)
         assert warm.cost == cold.cost
+
+
+def random_filter_list(eg, n_filtered, rnd):
+    if not n_filtered:
+        return None
+    filter_list = FilterList()
+    nodes = [node for eclass in eg.classes() for node in eclass.nodes]
+    for node in rnd.sample(nodes, min(n_filtered, len(nodes))):
+        filter_list.add(eg, node)
+    return filter_list
+
+
+def solve(problem):
+    """Solve ``problem`` with HiGHS to a proven optimum."""
+    return milp(
+        c=problem.c,
+        constraints=[
+            LinearConstraint(problem.a_ub, -np.inf, problem.b_ub),
+            LinearConstraint(problem.a_eq, problem.b_eq, problem.b_eq),
+        ],
+        integrality=problem.integrality,
+        bounds=Bounds(problem.lower, problem.upper),
+        options={"mip_rel_gap": 0.0},
+    )
+
+
+def covered_positions(problem, x):
+    return {cls_pos for i, (cls_pos, _) in enumerate(problem.variables.nodes) if x[i] > 0.5}
+
+
+class TestForcedClasses:
+    @given(
+        egraph_instances(),
+        st.integers(min_value=0, max_value=3),
+        st.randoms(use_true_random=False),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_forcing_keeps_the_optimum_and_every_selection_covers_it(
+        self, instance, n_filtered, rnd, prune, cycles
+    ):
+        # Without cycle constraints the ILP may select cyclically; forcing
+        # must stay sound for those selections too.
+        eg, root, costs = instance
+        nc = cost_fn(costs)
+        common = dict(
+            with_cycle_constraints=cycles,
+            filter_list=random_filter_list(eg, n_filtered, rnd),
+            prune_dominated=prune,
+        )
+        forced = build_extraction_problem(eg, root, nc, collapse_singletons=True, **common)
+        plain = build_extraction_problem(eg, root, nc, collapse_singletons=False, **common)
+        assert forced.variables.nodes == plain.variables.nodes
+        assert forced.a_ub.shape[0] + forced.a_eq.shape[0] == plain.a_ub.shape[0] + plain.a_eq.shape[0]
+        if plain.num_variables == 0:
+            return  # pruning dropped every candidate: the root cannot be covered
+        forced_res, plain_res = solve(forced), solve(plain)
+        assert forced_res.status == plain_res.status
+        if plain_res.status != 0:
+            return  # the filter list cut the root off: infeasible either way
+        # Integer costs: the optima agree exactly.
+        assert forced_res.fun == plain_res.fun
+        must = forced_class_positions(forced)
+        assert forced.reduction.classes_forced >= len(must)
+        # The forced classes are needed, not just imposed: the unreduced
+        # optimum covers them too, and so does the greedy warm start.
+        assert must <= covered_positions(plain, plain_res.x)
+        assert must <= covered_positions(forced, forced_res.x)
+        warm = warm_start_solution(forced)
+        if warm is not None:
+            assert must <= covered_positions(forced, warm[0])
+            assert incumbent_is_feasible(
+                warm[0], forced.a_ub, forced.b_ub, forced.a_eq, forced.b_eq,
+                forced.lower, forced.upper,
+            )
 
 
 class TestWarmStartSolution:

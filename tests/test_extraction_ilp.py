@@ -120,6 +120,22 @@ class TestILPExtraction:
         assert info.status == "optimal"
         assert info.num_variables > 0
 
+    def test_optimum_is_proven_at_the_root(self):
+        eg, root, costs = shared_plan_egraph()
+        extractor = ILPExtractor(cost_table(costs))
+        extractor.extract(eg, root)
+        info = extractor.last_solve_info
+        assert info.mip_node_count <= 1
+        assert info.mip_dual_bound == pytest.approx(info.objective) == pytest.approx(10.0)
+        assert info.mip_gap == pytest.approx(0.0)
+
+    def test_bnb_backend_reports_no_highs_facts(self):
+        eg, root, costs = shared_plan_egraph()
+        extractor = ILPExtractor(cost_table(costs), backend="bnb")
+        extractor.extract(eg, root)
+        info = extractor.last_solve_info
+        assert (info.mip_node_count, info.mip_dual_bound, info.mip_gap) == (None, None, None)
+
 
 class TestCycleHandling:
     def build_cyclic_egraph(self):
@@ -224,6 +240,19 @@ class TestProblemReduction:
         assert problem.reduction.singletons_fixed == 4
         assert (problem.lower[: problem.variables.num_nodes] == 1.0).all()
 
+    def test_singleton_chain_under_an_alternative_is_fixed(self):
+        eg = EGraph()
+        root = eg.add_term("(f (s x))")
+        eg.union(root, eg.add_term("(g (s x))"))
+        eg.rebuild()
+        nc = cost_table({"f": 1.0, "g": 2.0}, default=1.0)
+        problem = build_extraction_problem(eg, root, nc, collapse_singletons=True)
+        # (s x) and x are needed by both root alternatives; the root itself
+        # keeps its exactly-one row and its two free candidates.
+        assert problem.reduction.classes_forced == 3
+        assert problem.reduction.singletons_fixed == 2
+        assert forced_ops(problem) == {"s", "x"}
+
     def test_pruning_preserves_the_optimum(self):
         eg, root, costs = shared_plan_egraph()
         nc = cost_table(costs)
@@ -237,6 +266,97 @@ class TestProblemReduction:
         extractor = ILPExtractor(nc, reduce_problem=True)
         extractor.extract(eg, root)
         assert extractor.last_solve_info.prune_ratio > 1.0
+
+
+def forced_ops(problem):
+    """Operators of the candidates fixed to 1 by the forced-class pass."""
+    return {node.op for i, (_, node) in enumerate(problem.variables.nodes) if problem.lower[i] == 1.0}
+
+
+def forced_class_positions(problem):
+    """Class positions with a candidate fixed to 1 or an exactly-one row."""
+    variables = problem.variables
+    positions = {variables.nodes[i][0] for i in range(variables.num_nodes) if problem.lower[i] == 1.0}
+    for row in range(problem.a_eq.shape[0]):
+        cols = problem.a_eq.indices[problem.a_eq.indptr[row]:problem.a_eq.indptr[row + 1]]
+        positions |= {variables.nodes[j][0] for j in cols}
+    return positions
+
+
+def class_position(problem, egraph, eclass):
+    return problem.variables.class_ids.index(egraph.find(eclass))
+
+
+class TestForcedClasses:
+    def test_class_both_alternatives_need_is_forced(self):
+        # root = (f S) | (g S z), S = (s x) | (t y): S is needed either way,
+        # and with two candidates it gets an exactly-one row.  z is not.
+        eg = EGraph()
+        shared = eg.add_term("(s x)")
+        eg.union(shared, eg.add_term("(t y)"))
+        root = eg.add(ENode("f", (shared,)))
+        eg.union(root, eg.add(ENode("g", (shared, eg.add_term("z")))))
+        eg.rebuild()
+        nc = cost_table({"f": 1.0, "g": 0.5, "s": 3.0, "t": 1.0}, default=1.0)
+        problem = build_extraction_problem(
+            eg, root, nc, prune_dominated=True, collapse_singletons=True
+        )
+        plain = build_extraction_problem(eg, root, nc, prune_dominated=True)
+        s_pos = class_position(problem, eg, shared)
+        assert forced_class_positions(problem) == {problem.variables.root_position, s_pos}
+        assert problem.reduction.classes_forced == 2
+        assert problem.reduction.singletons_fixed == 0
+        # The at-most-one row moved to a_eq: the row count is unchanged.
+        assert problem.a_eq.shape[0] == 2
+        assert problem.a_ub.shape[0] + 2 == plain.a_ub.shape[0] + 1
+        for backend in ("scipy", "bnb"):
+            result = ILPExtractor(nc, backend=backend).extract(eg, root)
+            assert result.cost == pytest.approx(3.0)  # f + t + y
+
+    def test_class_only_one_alternative_needs_is_not_forced(self):
+        eg = EGraph()
+        root = eg.add_term("(f a)")
+        eg.union(root, eg.add_term("(g b)"))
+        eg.rebuild()
+        problem = build_extraction_problem(
+            eg, root, cost_table({}), prune_dominated=True, collapse_singletons=True
+        )
+        assert forced_class_positions(problem) == {problem.variables.root_position}
+        assert problem.reduction.classes_forced == 1
+        assert problem.a_eq.shape[0] == 1
+
+    def cycle_escape_egraph(self):
+        """X = (g Y) | (g2 W), Y = (h X) | (h2 W), root = (r X).
+
+        Every acyclic selection pays for W, but X -> Y -> X covers both
+        classes without it: W is reached only around that cycle's exits.
+        """
+        eg = EGraph()
+        w = eg.add_term("w")
+        x = eg.add(ENode("g2", (w,)))
+        y = eg.add(ENode("h2", (w,)))
+        eg.union(x, eg.add(ENode("g", (y,))))
+        eg.union(y, eg.add(ENode("h", (x,))))
+        eg.rebuild()
+        root = eg.add(ENode("r", (eg.find(x),)))
+        return eg, root, w, cost_table({"w": 10.0}, default=1.0)
+
+    def test_class_reached_only_around_a_cycle_is_not_forced(self):
+        eg, root, w, nc = self.cycle_escape_egraph()
+        for cycles in (False, True):
+            problem = build_extraction_problem(
+                eg, root, nc, with_cycle_constraints=cycles, collapse_singletons=True
+            )
+            assert class_position(problem, eg, w) not in forced_class_positions(problem)
+            assert problem.reduction.classes_forced == 2  # the root and X
+        # Without cycle constraints the ILP may take the cycle and skip W;
+        # forcing W would have moved that optimum.
+        free = ILPExtractor(nc)
+        problem = free.build_problem(eg, root)
+        _, objective, status, _ = free._solve_scipy(problem)
+        assert status == "optimal" and objective == pytest.approx(3.0)
+        acyclic = ILPExtractor(nc, with_cycle_constraints=True).extract(eg, root)
+        assert acyclic.cost == pytest.approx(12.0)  # r + g2 + w
 
 
 class TestWarmStart:
@@ -272,6 +392,37 @@ class TestWarmStart:
         info = extractor.last_solve_info
         assert info.warm_started
         assert info.warm_start_objective == pytest.approx(14.0)  # the greedy cost
+
+    def stopped_milp(self, monkeypatch):
+        """Make HiGHS stop at a limit without returning a solution."""
+        from scipy.optimize import OptimizeResult
+
+        import repro.egraph.extraction.ilp as ilp_module
+
+        def milp(**kwargs):
+            return OptimizeResult(status=1, x=None, fun=None, success=False, message="time limit")
+
+        monkeypatch.setattr(ilp_module, "milp", milp)
+
+    def test_limit_without_solution_returns_the_warm_incumbent(self, monkeypatch):
+        eg, root, costs = shared_plan_egraph()
+        nc = cost_table(costs)
+        greedy = GreedyExtractor(nc).extract(eg, root)
+        self.stopped_milp(monkeypatch)
+        result = ILPExtractor(nc, warm_start=True).extract(eg, root)
+        assert result.status == "iteration_or_time_limit_warm_incumbent"
+        assert str(result.expr) == str(greedy.expr)
+        assert result.cost == pytest.approx(greedy.cost) == pytest.approx(14.0)
+
+    def test_limit_without_warm_start_falls_back_to_greedy(self, monkeypatch):
+        eg, root, costs = shared_plan_egraph()
+        nc = cost_table(costs)
+        greedy = GreedyExtractor(nc).extract(eg, root)
+        self.stopped_milp(monkeypatch)
+        result = ILPExtractor(nc, warm_start=False).extract(eg, root)
+        assert result.status == "ilp_iteration_or_time_limit_greedy_fallback"
+        assert str(result.expr) == str(greedy.expr)
+        assert result.cost == pytest.approx(greedy.cost)
 
     def test_bnb_incumbent_accepts_only_feasible_vectors(self):
         from repro.egraph.extraction.bnb import solve_branch_and_bound

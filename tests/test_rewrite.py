@@ -70,6 +70,34 @@ class TestApply:
         assert isinstance(seen[0], Match)
 
 
+class TestFilterMatches:
+    def test_unconditioned_rule_returns_the_given_list(self):
+        eg = EGraph()
+        eg.add_term("(* a 2)")
+        rw = Rewrite.parse("strength", "(* ?x 2)", "(<< ?x 1)")
+        matches = [Match(eclass=0, subst={})]
+        assert rw.filter_matches(eg, matches) is matches
+
+    def test_mutating_a_search_result_leaves_the_trie_cache_intact(self):
+        from repro.egraph.machine import TrieMatcher
+        from repro.egraph.pattern import Pattern
+
+        eg = EGraph()
+        eg.add_term("(f a)")
+        eg.add_term("(f b)")
+        matcher = TrieMatcher([Pattern.parse("(f ?x)")])
+        (first,) = matcher.search_all(eg)
+        assert len(first) == 2
+        kept = Rewrite.parse("r", "(f ?x)", "(g ?x)").filter_matches(eg, first)
+        kept.clear()  # the runner owns the list it was handed
+        eg.take_dirty()
+        (again,) = matcher.search_all(eg, delta=eg.take_dirty())
+        assert [(m.eclass, m.subst) for m in again] == [
+            (m.eclass, m.subst) for m in TrieMatcher([Pattern.parse("(f ?x)")]).search_all(eg)[0]
+        ]
+        assert len(again) == 2
+
+
 class TestRunner:
     def rules(self):
         return [
