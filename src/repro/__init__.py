@@ -47,7 +47,7 @@ from repro.core.batch import ComparisonResult, compare, optimize_many
 from repro.core.config import ConfigError, TensatConfig
 from repro.core.events import OptimizationObserver, PhaseTimingObserver, RecordingObserver
 from repro.core.optimizer import OptimizationResult, TensatOptimizer, optimize
-from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, ILP_BACKENDS, Registry, SCHEDULERS
+from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, Registry, SCHEDULERS
 from repro.core.session import OptimizationSession
 from repro.core.stats import OptimizationStats
 from repro.ir.graph import GraphBuilder, TensorGraph
@@ -85,7 +85,6 @@ __all__ = [
     "Registry",
     "CYCLE_FILTERS",
     "EXTRACTORS",
-    "ILP_BACKENDS",
     "SCHEDULERS",
     # Optimization service
     "ResultCache",

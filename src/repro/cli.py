@@ -69,19 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--extraction", choices=EXTRACTORS.names(), default="ilp")
     opt.add_argument("--ilp-time-limit", type=float, default=60.0)
     opt.add_argument(
-        "--extraction-deadline", type=float, default=_CONFIG_DEFAULTS.extraction_deadline,
-        help="total wall-clock budget in seconds for --extraction portfolio "
-             "(greedy -> BnB -> ILP anytime race)",
-    )
-    opt.add_argument(
         "--no-extraction-prune", dest="extraction_prune", action="store_false",
         help="disable dominated-node pruning / forced classes before the "
-             "exact extraction solvers (optimum-preserving when enabled)",
-    )
-    opt.add_argument(
-        "--no-ilp-warm-start", dest="ilp_warm_start", action="store_false",
-        help="solve the extraction ILP/BnB cold instead of seeding it from "
-             "the greedy solution",
+             "extraction ILP solve (optimum-preserving when enabled)",
     )
     opt.add_argument("--cycle-filter", choices=CYCLE_FILTERS.names(), default="efficient")
     opt.add_argument(
@@ -171,9 +161,7 @@ def _config_from_args(args) -> TensatConfig:
         k_multi=args.k_multi,
         extraction=args.extraction,
         ilp_time_limit=args.ilp_time_limit,
-        extraction_deadline=args.extraction_deadline,
         extraction_prune=args.extraction_prune,
-        ilp_warm_start=args.ilp_warm_start,
         cycle_filter=cycle_filter,
         ilp_cycle_constraints=(cycle_filter == "none"),
         scheduler=args.scheduler,

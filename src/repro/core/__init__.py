@@ -11,7 +11,7 @@ from repro.core.batch import ComparisonResult, compare, compile_shared_trie, opt
 from repro.core.config import ConfigError, TensatConfig
 from repro.core.events import OptimizationObserver, PhaseTimingObserver, RecordingObserver
 from repro.core.optimizer import OptimizationResult, TensatOptimizer, optimize
-from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, ILP_BACKENDS, Registry, SCHEDULERS
+from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, Registry, SCHEDULERS
 from repro.core.session import OptimizationSession, materialize_extraction
 from repro.core.stats import OptimizationStats
 
@@ -20,7 +20,6 @@ __all__ = [
     "ConfigError",
     "CYCLE_FILTERS",
     "EXTRACTORS",
-    "ILP_BACKENDS",
     "OptimizationObserver",
     "OptimizationResult",
     "OptimizationSession",

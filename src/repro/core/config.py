@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, ILP_BACKENDS, SCHEDULERS
+from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, SCHEDULERS
 
 __all__ = ["TensatConfig", "ConfigError"]
 
@@ -24,7 +24,6 @@ _KNOB_REGISTRIES = (
     ("extraction", EXTRACTORS),
     ("scheduler", SCHEDULERS),
     ("cycle_filter", CYCLE_FILTERS),
-    ("ilp_backend", ILP_BACKENDS),
 )
 
 
@@ -74,28 +73,20 @@ class TensatConfig:
     # ------------------------------------------------------------------ #
     # Extraction
     # ------------------------------------------------------------------ #
-    #: "ilp", "greedy", or "portfolio" (anytime greedy -> BnB -> ILP race
-    #: under ``extraction_deadline``; see docs/extraction.md).
+    #: "ilp" (HiGHS, falling back to greedy when it returns no solution) or
+    #: "greedy" (see docs/extraction.md).
     extraction: str = "ilp"
     #: Prune dominated e-nodes and force the e-classes every selection must
     #: cover before solving (optimum-preserving; shrinks the ILP variable
     #: space and tightens its LP relaxation).
     extraction_prune: bool = True
-    #: Compute the greedy solution before the exact solve: BnB's starting
-    #: incumbent, and the answer kept when HiGHS stops at a limit without
-    #: one.  Optimum-preserving.
-    ilp_warm_start: bool = True
-    #: Total wall-clock budget in seconds for extraction="portfolio".
-    extraction_deadline: float = 60.0
     #: Include the topological-order (cycle) constraints in the ILP.
     ilp_cycle_constraints: bool = False
     #: Use integer instead of real topological-order variables.
     ilp_integer_topo: bool = False
     #: ILP solver time limit in seconds (paper: 3600).
     ilp_time_limit: float = 3600.0
-    #: "scipy" (HiGHS) or "bnb" (pure-Python branch and bound).
-    ilp_backend: str = "scipy"
-    #: Fall back to greedy extraction when the ILP solver fails or times out.
+    #: Fall back to greedy extraction when the ILP solver returns no solution.
     ilp_fallback_to_greedy: bool = True
     #: Relative MIP optimality gap (0 = prove optimality, as the paper's SCIP setup does).
     ilp_mip_gap: float = 0.0
@@ -119,18 +110,10 @@ class TensatConfig:
             raise ValueError("node_limit and iter_limit must be positive")
         if self.k_multi < 0:
             raise ValueError("k_multi must be non-negative")
-        if (
-            self.cycle_filter == "none"
-            and self.extraction in ("ilp", "portfolio")
-            and not self.ilp_cycle_constraints
-        ):
+        if self.cycle_filter == "none" and self.extraction == "ilp" and not self.ilp_cycle_constraints:
             raise ValueError(
                 "with cycle_filter='none' the ILP needs cycle constraints "
                 "(set ilp_cycle_constraints=True) or extraction may return a cyclic graph"
-            )
-        if self.extraction_deadline <= 0:
-            raise ValueError(
-                f"extraction_deadline must be positive, got {self.extraction_deadline}"
             )
 
     def with_overrides(self, **kwargs) -> "TensatConfig":

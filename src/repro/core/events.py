@@ -112,7 +112,7 @@ class PhaseTimingObserver(OptimizationObserver):
     exploration down by pipeline stage, summed over iterations
     (``per_iteration`` keeps the unsummed per-iteration values for
     profiles).  ``extraction_stage_seconds`` breaks the extraction phase
-    into its pipeline stages (prune / greedy / bnb / ilp) and
+    into its pipeline stages (prune / ilp / greedy) and
     ``extraction_prune_ratio`` records the problem-reduction shrink.
     """
 

@@ -1,7 +1,7 @@
 """Component registries: the single source of truth for pluggable strategies.
 
 Every pluggable piece of the pipeline -- extractors, rule schedulers, cycle
-filters, ILP backends -- is named in exactly one place: a :class:`Registry`
+filters -- is named in exactly one place: a :class:`Registry`
 in this module.  :class:`~repro.core.config.TensatConfig` validation, the
 CLI's ``choices=`` lists, and the factory functions (``make_scheduler``,
 ``make_cycle_filter``, the session's extractor construction) all consult
@@ -18,14 +18,11 @@ Factory signatures by registry:
 * ``SCHEDULERS``    -- ``factory(match_limit: int, ban_length: int) -> Scheduler``
 * ``EXTRACTORS``    -- ``factory(node_cost, config, filter_list) -> Extractor``
 * ``CYCLE_FILTERS`` -- ``factory() -> CycleFilter``
-* ``ILP_BACKENDS``  -- mode descriptors (the entry value is a description
-  string); the implementations are structural dispatch inside
-  :mod:`repro.egraph.extraction.ilp`, so this registry governs the *valid
-  names* only.
 
 The search phase has no registry: the runner always searches with the
 shared-prefix rule trie, joins multi-pattern matches with the hash join and
-evaluates compiled conditions directly.
+evaluates compiled conditions directly.  Nor does the ILP solver: the
+``ilp`` extractor always solves with HiGHS.
 
 This module must stay importable from :mod:`repro.egraph` modules' function
 bodies, so it may import from :mod:`repro.egraph` but never from
@@ -34,19 +31,17 @@ bodies, so it may import from :mod:`repro.egraph` but never from
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.egraph.cycles import EfficientCycleFilter, NoCycleFilter, VanillaCycleFilter
 from repro.egraph.extraction.greedy import GreedyExtractor
 from repro.egraph.extraction.ilp import ILPExtractor
-from repro.egraph.extraction.portfolio import PortfolioExtractor
 from repro.egraph.scheduler import BackoffScheduler, SimpleScheduler
 
 __all__ = [
     "Registry",
     "CYCLE_FILTERS",
     "EXTRACTORS",
-    "ILP_BACKENDS",
     "SCHEDULERS",
 ]
 
@@ -158,11 +153,9 @@ def _make_ilp_extractor(node_cost, config, filter_list):
         integer_topo=config.ilp_integer_topo,
         filter_list=filter_list,
         time_limit=config.ilp_time_limit,
-        backend=config.ilp_backend,
         fallback_to_greedy=config.ilp_fallback_to_greedy,
         mip_rel_gap=config.ilp_mip_gap,
         reduce_problem=config.extraction_prune,
-        warm_start=config.ilp_warm_start,
     )
 
 
@@ -171,28 +164,9 @@ def _make_greedy_extractor(node_cost, config, filter_list):
     return GreedyExtractor(node_cost, filter_list=filter_list)
 
 
-@EXTRACTORS.register("portfolio")
-def _make_portfolio_extractor(node_cost, config, filter_list):
-    return PortfolioExtractor(
-        node_cost,
-        deadline=config.extraction_deadline,
-        filter_list=filter_list,
-        with_cycle_constraints=config.ilp_cycle_constraints,
-        integer_topo=config.ilp_integer_topo,
-        mip_rel_gap=config.ilp_mip_gap,
-        reduce_problem=config.extraction_prune,
-        warm_start=config.ilp_warm_start,
-        ilp_time_limit=config.ilp_time_limit,
-    )
-
-
 #: Cycle-filtering strategies (paper Section 5.2).
 CYCLE_FILTERS = Registry("cycle filter")
 CYCLE_FILTERS.register("efficient", EfficientCycleFilter)
 CYCLE_FILTERS.register("vanilla", VanillaCycleFilter)
 CYCLE_FILTERS.register("none", NoCycleFilter)
 
-#: ILP solver backends (mode descriptors; dispatch lives in extraction/ilp.py).
-ILP_BACKENDS = Registry("ilp backend")
-ILP_BACKENDS.register("scipy", "HiGHS via scipy.optimize.milp")
-ILP_BACKENDS.register("bnb", "pure-Python branch and bound")

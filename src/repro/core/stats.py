@@ -49,7 +49,7 @@ class OptimizationStats:
     ilp_num_variables: int = 0
     ilp_num_constraints: int = 0
     #: Extraction wall time split into pipeline stages (``"prune"`` /
-    #: ``"greedy"`` / ``"bnb"`` / ``"ilp"``); empty when the extractor
+    #: ``"ilp"`` / ``"greedy"``, whichever ran); empty when the extractor
     #: predates the stage accounting.
     extraction_stage_seconds: Dict[str, float] = field(default_factory=dict)
     #: Variable-space shrink factor of the dominated-node pruning pass

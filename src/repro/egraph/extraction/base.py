@@ -24,8 +24,7 @@ class ExtractionResult:
     the ILP optimizes and the quantity the paper reports.
 
     ``stages`` breaks ``solve_seconds`` into pipeline stages (``"prune"`` /
-    ``"greedy"`` / ``"bnb"`` / ``"ilp"``), ``stage_costs`` records the best
-    cost each stage produced (portfolio provenance), and ``reduction`` is the
+    ``"ilp"`` / ``"greedy"``, whichever ran), and ``reduction`` is the
     :meth:`~repro.egraph.extraction.problem.ReductionStats.as_dict` of the
     problem-reduction pass when one ran.
     """
@@ -36,7 +35,6 @@ class ExtractionResult:
     solve_seconds: float = 0.0
     status: str = "ok"
     stages: Dict[str, float] = field(default_factory=dict)
-    stage_costs: Dict[str, float] = field(default_factory=dict)
     reduction: Optional[Dict[str, float]] = None
 
     def __post_init__(self) -> None:

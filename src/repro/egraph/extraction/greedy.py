@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.egraph.cycles import FilterList
@@ -99,5 +98,4 @@ class GreedyExtractor(Extractor):
             solve_seconds=seconds,
             status="ok",
             stages={"greedy": seconds},
-            stage_costs={"greedy": cost},
         )

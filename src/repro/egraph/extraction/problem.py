@@ -1,9 +1,8 @@
 """Construction of the extraction ILP (paper Section 5.1, constraints (1)-(5)).
 
-The problem is built once as plain numpy/scipy-sparse data so it can be handed
-to either solver backend (:mod:`scipy.optimize.milp` or the pure-Python
-branch-and-bound in :mod:`repro.egraph.extraction.bnb`), and so tests can
-inspect the formulation directly.
+The problem is built once as plain numpy/scipy-sparse data, so it can be
+handed to :func:`scipy.optimize.milp` and so tests can inspect the
+formulation directly (or solve it with another solver).
 
 Two optional *problem-reduction* passes shrink the variable space before any
 solver runs (see ``docs/extraction.md``):
@@ -30,8 +29,7 @@ what they removed.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -47,7 +45,6 @@ __all__ = [
     "ILPProblem",
     "ReductionStats",
     "build_extraction_problem",
-    "warm_start_solution",
 ]
 
 #: Nodes whose cost reaches this threshold (shape-invalid operands) are forced
@@ -531,97 +528,3 @@ def build_extraction_problem(
         reduction=reduction,
     )
 
-
-def warm_start_solution(problem: ILPProblem) -> Optional[Tuple[np.ndarray, float]]:
-    """The greedy solution lifted into ``problem``'s variable space.
-
-    Runs the bottom-up greedy fixpoint over the problem's own candidate lists
-    (so the selection is consistent with whatever pruning produced them) and
-    returns ``(x0, objective)`` where ``x0`` is a feasible assignment -- one
-    selected e-node per demanded class, topological-order variables set from
-    the selection's heights -- and ``objective`` is its DAG-aware cost
-    ``c @ x0``.  Returns ``None`` when no acyclic greedy selection covers the
-    root (every root candidate filtered, or a pathological negative-cost
-    cycle), in which case the caller solves cold.
-    """
-    variables = problem.variables
-    n_classes = variables.num_classes
-    n_nodes = variables.num_nodes
-    class_pos = {cid: pos for pos, cid in enumerate(variables.class_ids)}
-
-    # Per class position: selectable candidate indices and their child positions.
-    by_class: List[List[int]] = [[] for _ in range(n_classes)]
-    child_positions: List[List[int]] = []
-    for i, (cls_pos, node) in enumerate(variables.nodes):
-        children = sorted({class_pos[ch] for ch in node.children})
-        child_positions.append(children)
-        if problem.upper[i] > 0.5 and cls_pos not in children:  # skip self-loops
-            by_class[cls_pos].append(i)
-
-    best_cost = [math.inf] * n_classes
-    best_idx = [-1] * n_classes
-    changed = True
-    while changed:
-        changed = False
-        for cls in range(n_classes):
-            for i in by_class[cls]:
-                if any(best_idx[ch] < 0 for ch in child_positions[i]):
-                    continue
-                total = problem.c[i] + sum(best_cost[ch] for ch in child_positions[i])
-                if total < best_cost[cls] - 1e-12:
-                    best_cost[cls] = total
-                    best_idx[cls] = i
-                    changed = True
-
-    root_pos = variables.root_position
-    if best_idx[root_pos] < 0:
-        return None
-
-    # Collect the demanded classes (children-first); a cycle in the selection
-    # (only possible with negative costs) voids the warm start.
-    used: List[int] = []
-    state: Dict[int, int] = {}  # 0/absent = unvisited, 1 = on stack, 2 = done
-    dfs: List[Tuple[int, int]] = [(root_pos, 0)]  # (class position, next child slot)
-    while dfs:
-        cls, slot = dfs.pop()
-        if slot == 0:
-            if state.get(cls) == 2:
-                continue
-            state[cls] = 1
-        children = child_positions[best_idx[cls]]
-        descended = False
-        while slot < len(children):
-            ch = children[slot]
-            slot += 1
-            child_state = state.get(ch)
-            if child_state == 1:
-                return None  # cycle in the selection
-            if child_state != 2:
-                dfs.append((cls, slot))
-                dfs.append((ch, 0))
-                descended = True
-                break
-        if not descended:
-            state[cls] = 2
-            used.append(cls)
-
-    x0 = np.zeros(problem.num_variables)
-    objective = 0.0
-    for cls in used:
-        idx = best_idx[cls]
-        x0[idx] = 1.0
-        objective += float(problem.c[idx])
-
-    if problem.with_cycle_constraints:
-        # Topological order from selection heights: leaves 0, parents above.
-        height = [0] * n_classes
-        for cls in used:  # ``used`` is already children-first
-            children = child_positions[best_idx[cls]]
-            if children:
-                height[cls] = 1 + max(height[ch] for ch in children)
-        eps = 1.0 / (2 * max(n_classes, 1))
-        scale = 1.0 if problem.integer_topo else eps
-        for cls in used:
-            x0[n_nodes + cls] = height[cls] * scale
-
-    return x0, objective

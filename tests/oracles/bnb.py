@@ -1,7 +1,6 @@
-"""A small pure-Python branch-and-bound 0/1 MILP solver.
+"""A small pure-Python branch-and-bound 0/1 MILP solver: the reference HiGHS is checked against.
 
-This is the fallback backend for :class:`~repro.egraph.extraction.ilp.ILPExtractor`
-(the primary backend is ``scipy.optimize.milp`` / HiGHS).  It solves::
+It solves::
 
     min  c @ x
     s.t. A_ub @ x <= b_ub
@@ -9,10 +8,12 @@ This is the fallback backend for :class:`~repro.egraph.extraction.ilp.ILPExtract
          lower <= x <= upper
          x_i integer for integrality_i == 1
 
-by LP-relaxation branch and bound using :func:`scipy.optimize.linprog` for the
-relaxations.  It is intended for the small e-graphs exercised in unit tests
-and as an independent cross-check of the HiGHS results, not for production
-sized problems.
+by depth-first LP-relaxation branch and bound, using
+:func:`scipy.optimize.linprog` for the relaxations.  It is meant for the
+small e-graphs of the tests, as a second solver for the extraction problem:
+:class:`BnBExtractor` runs it in place of the HiGHS MIP solve, so the
+extraction ILP's optimum can be compared between the two
+(``tests/test_extraction_equivalence.py``, ``tests/test_extraction_ilp.py``).
 """
 
 from __future__ import annotations
@@ -20,13 +21,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-__all__ = ["BnBResult", "incumbent_is_feasible", "solve_branch_and_bound"]
+from repro.egraph.extraction.ilp import ILPExtractor
+from repro.egraph.extraction.problem import ILPProblem
+
+__all__ = ["BnBExtractor", "BnBResult", "solve_branch_and_bound"]
 
 
 @dataclass
@@ -42,38 +46,7 @@ class BnBResult:
 
 def _solve_relaxation(c, a_ub, b_ub, a_eq, b_eq, lower, upper):
     bounds = np.column_stack([lower, upper])
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
-    )
-    return res
-
-
-def incumbent_is_feasible(
-    x: np.ndarray,
-    a_ub: sparse.csr_matrix,
-    b_ub: np.ndarray,
-    a_eq: sparse.csr_matrix,
-    b_eq: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    tol: float = 1e-6,
-) -> bool:
-    """Whether a candidate warm-start vector satisfies every constraint."""
-    if x.shape != lower.shape:
-        return False
-    if np.any(x < lower - tol) or np.any(x > upper + tol):
-        return False
-    if a_ub.shape[0] and np.any(a_ub @ x > b_ub + tol):
-        return False
-    if a_eq.shape[0] and np.any(np.abs(a_eq @ x - b_eq) > tol):
-        return False
-    return True
+    return linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
 
 
 def solve_branch_and_bound(
@@ -88,26 +61,13 @@ def solve_branch_and_bound(
     time_limit: float = 60.0,
     node_limit: int = 10_000,
     tol: float = 1e-6,
-    incumbent: Optional[Tuple[np.ndarray, float]] = None,
 ) -> BnBResult:
-    """Depth-first branch and bound with best-known-incumbent pruning.
-
-    ``incumbent`` optionally seeds the search with a known feasible solution
-    ``(x, objective)`` -- typically the greedy extraction -- giving the solver
-    an immediate upper bound: subtrees whose LP relaxation cannot beat it are
-    pruned from the first node on.  An infeasible incumbent is ignored.
-    """
+    """Depth-first branch and bound with best-known-incumbent pruning."""
     t0 = time.perf_counter()
     integer_vars = np.where(integrality > 0.5)[0]
 
     best_x: Optional[np.ndarray] = None
     best_obj = math.inf
-    if incumbent is not None:
-        x_in, obj_in = incumbent
-        x_in = np.asarray(x_in, dtype=float)
-        if incumbent_is_feasible(x_in, a_ub, b_ub, a_eq, b_eq, lower, upper, tol):
-            best_x = x_in
-            best_obj = float(obj_in)
     nodes_explored = 0
     status = "optimal"
 
@@ -176,3 +136,26 @@ def solve_branch_and_bound(
         nodes_explored=nodes_explored,
         seconds=time.perf_counter() - t0,
     )
+
+
+class BnBExtractor(ILPExtractor):
+    """:class:`ILPExtractor` with its HiGHS MIP solve replaced by :func:`solve_branch_and_bound`.
+
+    The problem build, the solution decoding and the greedy fallback are the
+    production extractor's; only the solver differs.  HiGHS's node count,
+    dual bound and gap are not reported (``None``).
+    """
+
+    def _solve(self, problem: ILPProblem):
+        res = solve_branch_and_bound(
+            problem.c,
+            problem.a_ub,
+            problem.b_ub,
+            problem.a_eq,
+            problem.b_eq,
+            problem.lower,
+            problem.upper,
+            problem.integrality,
+            time_limit=self.time_limit,
+        )
+        return res.x, res.objective, res.status, {}

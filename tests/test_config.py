@@ -35,8 +35,13 @@ class TestTensatConfig:
             TensatConfig(cycle_filter="sometimes")
 
     def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            TensatConfig(ilp_backend="gurobi")
+        # Extraction has one exact path (HiGHS, with its greedy fallback);
+        # the portfolio extractor and its knobs are gone.
+        with pytest.raises(ValueError, match="portfolio"):
+            TensatConfig(extraction="portfolio")
+        for removed in ("ilp_backend", "ilp_warm_start", "extraction_deadline"):
+            with pytest.raises(TypeError):
+                TensatConfig(**{removed: None})
 
     def test_invalid_engine_knobs_rejected(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 """Property suite: the extraction strategies agree on random small e-graphs.
 
-The three strategies form a quality ladder -- greedy is a heuristic, BnB and
-the HiGHS ILP are exact -- and the problem-reduction pass must never move the
-optimum.  Costs are drawn as small integers so "same cost" is exact float
+The strategies form a quality ladder -- greedy is a heuristic, the HiGHS ILP
+is exact and must match the branch-and-bound reference in
+``tests/oracles/bnb.py`` -- and the problem-reduction pass must never move
+the optimum.  Costs are drawn as small integers so "same cost" is exact float
 equality (sums of small ints are exactly representable), letting the
 pruned-vs-unpruned property assert bit-for-bit equality rather than an
 approximate match.
@@ -19,15 +20,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+from oracles.bnb import BnBExtractor
 from oracles.greedy_sweep import greedy_sweep
 from test_extraction_ilp import forced_class_positions
 from repro import sexpr as sx
 from repro.egraph.cycles import FilterList
 from repro.egraph.egraph import EGraph
-from repro.egraph.extraction.bnb import incumbent_is_feasible
+from repro.egraph.extraction.base import used_choices
 from repro.egraph.extraction.greedy import GreedyExtractor
 from repro.egraph.extraction.ilp import ILPExtractor
-from repro.egraph.extraction.problem import build_extraction_problem, warm_start_solution
+from repro.egraph.extraction.problem import build_extraction_problem
 
 # --------------------------------------------------------------------- #
 # Strategies
@@ -138,8 +140,8 @@ class TestStrategyEquivalence:
         eg, root, costs = instance
         nc = cost_fn(costs)
         greedy = GreedyExtractor(nc).extract(eg, root)
-        bnb = ILPExtractor(nc, backend="bnb", with_cycle_constraints=True).extract(eg, root)
-        ilp = ILPExtractor(nc, backend="scipy", with_cycle_constraints=True).extract(eg, root)
+        bnb = BnBExtractor(nc, with_cycle_constraints=True).extract(eg, root)
+        ilp = ILPExtractor(nc, with_cycle_constraints=True).extract(eg, root)
         assert ilp.cost <= bnb.cost + 1e-9
         assert bnb.cost <= greedy.cost + 1e-9
         # Both exact backends prove the same optimum.
@@ -152,8 +154,8 @@ class TestStrategyEquivalence:
         nc = cost_fn(costs)
         for result in (
             GreedyExtractor(nc).extract(eg, root),
-            ILPExtractor(nc, backend="bnb", with_cycle_constraints=True).extract(eg, root),
-            ILPExtractor(nc, backend="scipy", with_cycle_constraints=True).extract(eg, root),
+            BnBExtractor(nc, with_cycle_constraints=True).extract(eg, root),
+            ILPExtractor(nc, with_cycle_constraints=True).extract(eg, root),
         ):
             # build_recexpr already raises on a cyclic selection; re-verify
             # the invariant independently over the raw choices.
@@ -165,23 +167,24 @@ class TestStrategyEquivalence:
     def test_pruning_never_changes_the_ilp_optimum(self, instance):
         eg, root, costs = instance
         nc = cost_fn(costs)
-        pruned = ILPExtractor(
-            nc, with_cycle_constraints=True, reduce_problem=True, warm_start=False
-        ).extract(eg, root)
-        unpruned = ILPExtractor(
-            nc, with_cycle_constraints=True, reduce_problem=False, warm_start=False
-        ).extract(eg, root)
+        pruned = ILPExtractor(nc, with_cycle_constraints=True, reduce_problem=True).extract(eg, root)
+        unpruned = ILPExtractor(nc, with_cycle_constraints=True, reduce_problem=False).extract(eg, root)
         # Integer costs: the optima must agree bit-for-bit, not just approximately.
         assert pruned.cost == unpruned.cost
 
-    @given(egraph_instances())
+    @given(egraph_instances(), st.booleans())
     @settings(max_examples=25, deadline=None)
-    def test_warm_start_never_changes_the_ilp_optimum(self, instance):
+    def test_optima_agree_with_bnb_without_cycle_constraints(self, instance, prune):
+        # Without cycle constraints the selection may be cyclic, so compare
+        # the solvers' objectives on the same problem, not extracted terms.
         eg, root, costs = instance
         nc = cost_fn(costs)
-        warm = ILPExtractor(nc, with_cycle_constraints=True, warm_start=True).extract(eg, root)
-        cold = ILPExtractor(nc, with_cycle_constraints=True, warm_start=False).extract(eg, root)
-        assert warm.cost == cold.cost
+        ilp, bnb = ILPExtractor(nc, reduce_problem=prune), BnBExtractor(nc, reduce_problem=prune)
+        problem = ilp.build_problem(eg, root)
+        _, obj_ilp, status_ilp, _ = ilp._solve(problem)
+        _, obj_bnb, status_bnb, _ = bnb._solve(problem)
+        assert status_ilp == status_bnb == "optimal"
+        assert obj_ilp == pytest.approx(obj_bnb)
 
 
 def random_filter_list(eg, n_filtered, rnd):
@@ -248,29 +251,12 @@ class TestForcedClasses:
         must = forced_class_positions(forced)
         assert forced.reduction.classes_forced >= len(must)
         # The forced classes are needed, not just imposed: the unreduced
-        # optimum covers them too, and so does the greedy warm start.
+        # optimum covers them too, and so does the greedy selection.
         assert must <= covered_positions(plain, plain_res.x)
         assert must <= covered_positions(forced, forced_res.x)
-        warm = warm_start_solution(forced)
-        if warm is not None:
-            assert must <= covered_positions(forced, warm[0])
-            assert incumbent_is_feasible(
-                warm[0], forced.a_ub, forced.b_ub, forced.a_eq, forced.b_eq,
-                forced.lower, forced.upper,
-            )
+        _, greedy_choices = greedy_sweep(eg, nc, common["filter_list"])
+        if root in greedy_choices:
+            greedy_classes = used_choices(eg, root, greedy_choices)
+            class_ids = forced.variables.class_ids
+            assert {class_ids[pos] for pos in must} <= set(greedy_classes)
 
-
-class TestWarmStartSolution:
-    @given(egraph_instances())
-    @settings(max_examples=25, deadline=None)
-    def test_warm_start_objective_matches_its_vector(self, instance):
-        eg, root, costs = instance
-        nc = cost_fn(costs)
-        problem = build_extraction_problem(
-            eg, root, nc, with_cycle_constraints=True, prune_dominated=True, collapse_singletons=True
-        )
-        warm = warm_start_solution(problem)
-        if warm is None:
-            return  # greedy hit a selection cycle; nothing to check
-        x0, obj = warm
-        assert float(problem.c @ x0) == pytest.approx(obj)

@@ -1,8 +1,15 @@
-"""Tests for ILP extraction (formulation, backends, cycle constraints, filter list)."""
+"""Tests for ILP extraction (formulation, solver, greedy fallback, cycle constraints, filter list).
 
-import numpy as np
+HiGHS's optimum is checked against the branch-and-bound reference in
+``tests/oracles/bnb.py``.
+"""
+
 import pytest
 
+from oracles.bnb import BnBExtractor
+from repro.core.config import TensatConfig
+from repro.core.events import PhaseTimingObserver, RecordingObserver
+from repro.core.session import OptimizationSession
 from repro.egraph.cycles import EfficientCycleFilter, FilterList
 from repro.egraph.egraph import EGraph
 from repro.egraph.extraction.greedy import GreedyExtractor
@@ -12,6 +19,7 @@ from repro.egraph.language import ENode
 from repro.egraph.multipattern import MultiPatternRewrite
 from repro.egraph.rewrite import Rewrite
 from repro.egraph.runner import Runner, RunnerLimits
+from repro.models import build_model
 
 
 def cost_table(table, default=1.0):
@@ -90,13 +98,25 @@ class TestILPExtraction:
     def test_bnb_backend_agrees_with_scipy(self):
         eg, root, costs = shared_plan_egraph()
         nc = cost_table(costs)
-        scipy_res = ILPExtractor(nc, backend="scipy").extract(eg, root)
-        bnb_res = ILPExtractor(nc, backend="bnb").extract(eg, root)
-        assert bnb_res.cost == pytest.approx(scipy_res.cost)
+        scipy_res = ILPExtractor(nc).extract(eg, root)
+        bnb_res = BnBExtractor(nc).extract(eg, root)
+        assert bnb_res.cost == pytest.approx(scipy_res.cost) == pytest.approx(10.0)
+
+    def test_fallback_setting_never_changes_the_optimum(self):
+        # Greedy only answers when HiGHS returns no solution, so a solved
+        # problem yields the same graph with the fallback on or off.
+        eg, root, costs = shared_plan_egraph()
+        nc = cost_table(costs)
+        on = ILPExtractor(nc, fallback_to_greedy=True).extract(eg, root)
+        off = ILPExtractor(nc, fallback_to_greedy=False).extract(eg, root)
+        assert on.status == off.status == "optimal"
+        assert str(on.expr) == str(off.expr)
+        assert on.cost == pytest.approx(off.cost) == pytest.approx(10.0)
 
     def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            ILPExtractor(cost_table({}), backend="cplex")
+        # HiGHS is the one solver: there is no backend switch to name.
+        with pytest.raises(TypeError):
+            ILPExtractor(cost_table({}), backend="bnb")
 
     def test_filter_list_constraints(self):
         eg = EGraph()
@@ -130,11 +150,19 @@ class TestILPExtraction:
         assert info.mip_gap == pytest.approx(0.0)
 
     def test_bnb_backend_reports_no_highs_facts(self):
+        # A solve HiGHS did not run leaves its facts unset.
         eg, root, costs = shared_plan_egraph()
-        extractor = ILPExtractor(cost_table(costs), backend="bnb")
+        extractor = BnBExtractor(cost_table(costs))
         extractor.extract(eg, root)
         info = extractor.last_solve_info
+        assert info.status == "optimal"
         assert (info.mip_node_count, info.mip_dual_bound, info.mip_gap) == (None, None, None)
+
+    def test_stage_timings_on_result(self):
+        eg, root, costs = shared_plan_egraph()
+        result = ILPExtractor(cost_table(costs)).extract(eg, root)
+        assert set(result.stages) == {"prune", "ilp"}  # no greedy pass before the solve
+        assert all(secs >= 0.0 for secs in result.stages.values())
 
 
 class TestCycleHandling:
@@ -256,8 +284,8 @@ class TestProblemReduction:
     def test_pruning_preserves_the_optimum(self):
         eg, root, costs = shared_plan_egraph()
         nc = cost_table(costs)
-        pruned = ILPExtractor(nc, reduce_problem=True, warm_start=False).extract(eg, root)
-        raw = ILPExtractor(nc, reduce_problem=False, warm_start=False).extract(eg, root)
+        pruned = ILPExtractor(nc, reduce_problem=True).extract(eg, root)
+        raw = ILPExtractor(nc, reduce_problem=False).extract(eg, root)
         assert pruned.cost == pytest.approx(raw.cost) == pytest.approx(10.0)
         assert pruned.reduction is not None
 
@@ -309,8 +337,8 @@ class TestForcedClasses:
         # The at-most-one row moved to a_eq: the row count is unchanged.
         assert problem.a_eq.shape[0] == 2
         assert problem.a_ub.shape[0] + 2 == plain.a_ub.shape[0] + 1
-        for backend in ("scipy", "bnb"):
-            result = ILPExtractor(nc, backend=backend).extract(eg, root)
+        for extractor in (ILPExtractor(nc), BnBExtractor(nc)):
+            result = extractor.extract(eg, root)
             assert result.cost == pytest.approx(3.0)  # f + t + y
 
     def test_class_only_one_alternative_needs_is_not_forced(self):
@@ -353,96 +381,122 @@ class TestForcedClasses:
         # forcing W would have moved that optimum.
         free = ILPExtractor(nc)
         problem = free.build_problem(eg, root)
-        _, objective, status, _ = free._solve_scipy(problem)
+        _, objective, status, _ = free._solve(problem)
         assert status == "optimal" and objective == pytest.approx(3.0)
         acyclic = ILPExtractor(nc, with_cycle_constraints=True).extract(eg, root)
         assert acyclic.cost == pytest.approx(12.0)  # r + g2 + w
 
 
-class TestWarmStart:
-    def test_warm_start_vector_is_feasible_and_greedy_cost(self):
-        from repro.egraph.extraction.bnb import incumbent_is_feasible
-        from repro.egraph.extraction.problem import warm_start_solution
+def stopped_milp(monkeypatch):
+    """Make HiGHS stop at a limit without returning a solution."""
+    from scipy.optimize import OptimizeResult
 
+    import repro.egraph.extraction.ilp as ilp_module
+
+    def milp(**kwargs):
+        return OptimizeResult(status=1, x=None, fun=None, success=False, message="time limit")
+
+    monkeypatch.setattr(ilp_module, "milp", milp)
+
+
+def filtered_leaf_egraph():
+    """A one-node e-graph whose only e-node is on the filter list."""
+    eg = EGraph()
+    root = eg.add_term("a")
+    flist = FilterList()
+    flist.add(eg, ENode("a", ()))
+    return eg, root, flist
+
+
+class TestGreedyFallback:
+    def test_limit_without_solution_falls_back_to_greedy(self, monkeypatch):
         eg, root, costs = shared_plan_egraph()
-        nc = cost_table(costs)
-        problem = build_extraction_problem(
-            eg, root, nc, prune_dominated=True, collapse_singletons=True
-        )
-        x0, obj = warm_start_solution(problem)
-        assert incumbent_is_feasible(
-            x0, problem.a_ub, problem.b_ub, problem.a_eq, problem.b_eq,
-            problem.lower, problem.upper,
-        )
-        greedy = GreedyExtractor(nc).extract(eg, root)
-        assert obj == pytest.approx(greedy.cost)
+        stopped_milp(monkeypatch)
+        extractor = ILPExtractor(cost_table(costs))
+        result = extractor.extract(eg, root)
+        assert result.status == "ilp_iteration_or_time_limit_greedy_fallback"
+        assert set(result.stages) == {"prune", "ilp", "greedy"}
+        assert extractor.last_solve_info.status == "iteration_or_time_limit"
 
-    def test_warm_and_cold_solves_agree(self):
-        eg, root, costs = shared_plan_egraph()
-        nc = cost_table(costs)
-        for backend in ("scipy", "bnb"):
-            warm = ILPExtractor(nc, backend=backend, warm_start=True).extract(eg, root)
-            cold = ILPExtractor(nc, backend=backend, warm_start=False).extract(eg, root)
-            assert warm.cost == pytest.approx(cold.cost) == pytest.approx(10.0)
-
-    def test_warm_start_info_recorded(self):
-        eg, root, costs = shared_plan_egraph()
-        extractor = ILPExtractor(cost_table(costs), warm_start=True)
-        extractor.extract(eg, root)
-        info = extractor.last_solve_info
-        assert info.warm_started
-        assert info.warm_start_objective == pytest.approx(14.0)  # the greedy cost
-
-    def stopped_milp(self, monkeypatch):
-        """Make HiGHS stop at a limit without returning a solution."""
-        from scipy.optimize import OptimizeResult
-
-        import repro.egraph.extraction.ilp as ilp_module
-
-        def milp(**kwargs):
-            return OptimizeResult(status=1, x=None, fun=None, success=False, message="time limit")
-
-        monkeypatch.setattr(ilp_module, "milp", milp)
-
-    def test_limit_without_solution_returns_the_warm_incumbent(self, monkeypatch):
+    def test_limit_without_solution_returns_the_greedy_result(self, monkeypatch):
         eg, root, costs = shared_plan_egraph()
         nc = cost_table(costs)
         greedy = GreedyExtractor(nc).extract(eg, root)
-        self.stopped_milp(monkeypatch)
-        result = ILPExtractor(nc, warm_start=True).extract(eg, root)
-        assert result.status == "iteration_or_time_limit_warm_incumbent"
+        stopped_milp(monkeypatch)
+        result = ILPExtractor(nc).extract(eg, root)
+        assert result.status == "ilp_iteration_or_time_limit_greedy_fallback"
         assert str(result.expr) == str(greedy.expr)
         assert result.cost == pytest.approx(greedy.cost) == pytest.approx(14.0)
 
-    def test_limit_without_warm_start_falls_back_to_greedy(self, monkeypatch):
-        eg, root, costs = shared_plan_egraph()
-        nc = cost_table(costs)
-        greedy = GreedyExtractor(nc).extract(eg, root)
-        self.stopped_milp(monkeypatch)
-        result = ILPExtractor(nc, warm_start=False).extract(eg, root)
-        assert result.status == "ilp_iteration_or_time_limit_greedy_fallback"
-        assert str(result.expr) == str(greedy.expr)
-        assert result.cost == pytest.approx(greedy.cost)
+    @pytest.mark.parametrize("reduce_problem", [True, False])
+    def test_empty_problem_is_infeasible_without_calling_the_solver(self, reduce_problem, monkeypatch):
+        # Pruning drops the filtered root node and leaves no variable; the
+        # unpruned problem keeps it at x = 0.  Both read as infeasible, so
+        # both reach greedy's typed error.
+        import repro.egraph.extraction.ilp as ilp_module
 
-    def test_bnb_incumbent_accepts_only_feasible_vectors(self):
-        from repro.egraph.extraction.bnb import solve_branch_and_bound
+        solves = []
+        solve = ilp_module.milp
+        monkeypatch.setattr(ilp_module, "milp", lambda **kwargs: solves.append(1) or solve(**kwargs))
+        eg, root, flist = filtered_leaf_egraph()
+        nc = cost_table({})
+        extractor = ILPExtractor(nc, filter_list=flist, reduce_problem=reduce_problem)
+        with pytest.raises(ValueError, match="no acyclic representative"):
+            extractor.extract(eg, root)
+        assert extractor.last_solve_info.status == "infeasible"
+        assert (extractor.last_solve_info.num_variables == 0) == reduce_problem
+        strict = ILPExtractor(nc, filter_list=flist, reduce_problem=reduce_problem, fallback_to_greedy=False)
+        with pytest.raises(RuntimeError, match="'infeasible'"):
+            strict.extract(eg, root)
+        assert len(solves) == (0 if reduce_problem else 2)
 
-        eg, root, costs = shared_plan_egraph()
-        problem = build_extraction_problem(eg, root, cost_table(costs))
-        bogus = np.full(problem.num_variables, 0.5)  # violates the eq row
-        res = solve_branch_and_bound(
-            problem.c, problem.a_ub, problem.b_ub, problem.a_eq, problem.b_eq,
-            problem.lower, problem.upper, problem.integrality,
-            incumbent=(bogus, 0.0),
-        )
-        # The infeasible incumbent is ignored, not returned.
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(10.0)
 
-    def test_stage_timings_on_result(self):
-        eg, root, costs = shared_plan_egraph()
-        result = ILPExtractor(cost_table(costs)).extract(eg, root)
-        assert "prune" in result.stages
-        assert "greedy" in result.stages
-        assert "ilp" in result.stages
-        assert result.stage_costs["ilp"] == pytest.approx(10.0)
+#: A small end-to-end run: saturation stays well under a second.
+SESSION_CONFIG = dict(node_limit=2_000, iter_limit=5, k_multi=1)
+
+
+def extraction_session(observers=()):
+    return OptimizationSession(
+        build_model("nasrnn", "tiny"), config=TensatConfig(**SESSION_CONFIG), observers=observers
+    )
+
+
+class TestInSession:
+    def test_fallback_status_reaches_stats_extraction_status(self, monkeypatch):
+        stopped_milp(monkeypatch)
+        session = extraction_session()
+        extraction = session.extract()
+        status = "ilp_iteration_or_time_limit_greedy_fallback"
+        assert extraction.status == status
+        assert session.extraction_status == status
+        result = session.result()
+        assert result.stats.extraction_status == status
+        assert result.stats.as_dict()["extraction_status"] == status
+
+    def test_solver_stop_falls_back_to_greedy_and_never_raises(self, monkeypatch):
+        stopped_milp(monkeypatch)
+        result = extraction_session().result()
+        assert result.stats.extraction_status == "ilp_iteration_or_time_limit_greedy_fallback"
+        # The run still returns an optimized graph.
+        assert result.optimized is not None
+        assert result.stats.optimized_cost > 0
+
+    def test_stats_carry_stage_seconds_and_prune_ratio(self):
+        stats = extraction_session().result().stats
+        assert set(stats.extraction_stage_seconds) == {"prune", "ilp"}
+        assert all(secs >= 0.0 for secs in stats.extraction_stage_seconds.values())
+        assert stats.extraction_prune_ratio >= 1.0
+        payload = stats.as_dict()
+        assert "extraction_stage_seconds" in payload
+        assert "extraction_prune_ratio" in payload
+
+    def test_on_extraction_event_fires_with_the_result(self):
+        recording = RecordingObserver()
+        timing = PhaseTimingObserver()
+        session = extraction_session(observers=[recording, timing])
+        extraction = session.extract()
+        events = recording.of_kind("extraction")
+        assert len(events) == 1
+        assert events[0][1] is extraction
+        assert set(timing.extraction_stage_seconds) == {"prune", "ilp"}
+        assert timing.extraction_prune_ratio >= 1.0

@@ -12,7 +12,7 @@ import pytest
 
 from repro import TensatConfig, optimize
 from repro.cli import build_parser
-from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, ILP_BACKENDS, Registry, SCHEDULERS
+from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, Registry, SCHEDULERS
 from repro.egraph.extraction.greedy import GreedyExtractor
 from repro.egraph.scheduler import SimpleScheduler
 
@@ -71,9 +71,8 @@ class TestRegistryMechanics:
 class TestBuiltinEntries:
     def test_builtin_names(self):
         assert SCHEDULERS.names() == ("simple", "backoff")
-        assert EXTRACTORS.names() == ("ilp", "greedy", "portfolio")
+        assert EXTRACTORS.names() == ("ilp", "greedy")
         assert CYCLE_FILTERS.names() == ("efficient", "vanilla", "none")
-        assert ILP_BACKENDS.names() == ("scipy", "bnb")
 
     def test_config_validation_error_lists_choices(self):
         with pytest.raises(ValueError, match="available"):
@@ -81,7 +80,7 @@ class TestBuiltinEntries:
         with pytest.raises(ValueError, match="available"):
             TensatConfig(extraction="random")
         with pytest.raises(ValueError, match="available"):
-            TensatConfig(ilp_backend="gurobi")
+            TensatConfig(cycle_filter="sometimes")
 
     def test_cli_choices_derive_from_registries(self):
         parser = build_parser()

@@ -360,6 +360,29 @@ class TestDaemon:
             assert served["ok"] and served["cache"] == "miss"
             client.shutdown()
 
+    def test_removed_extraction_knob_is_config_error(self):
+        # The portfolio extractor and the ILP backend / warm-start knobs are
+        # gone: naming them is a typed config error, not a crash.
+        with ServerThread(service_config=ServiceConfig(port=0)) as server:
+            client = ServiceClient(port=server.port)
+            for name, value in (
+                ("ilp_warm_start", False),
+                ("ilp_backend", "bnb"),
+                ("extraction_deadline", 5.0),
+            ):
+                response = client.optimize(graph=small_graph(), config={name: value}, check=False)
+                assert response["ok"] is False
+                assert response["error"]["type"] == "config"
+                assert f"unknown config field {name!r}" in response["error"]["message"]
+            response = client.optimize(
+                graph=small_graph(), config={"extraction": "portfolio"}, check=False
+            )
+            assert response["ok"] is False
+            assert response["error"]["type"] == "config"
+            assert "portfolio" in response["error"]["message"]
+            assert client.ping()
+            client.shutdown()
+
     def test_connection_error_is_typed(self):
         with ServerThread(service_config=ServiceConfig(port=0)) as server:
             dead_port = server.port

@@ -6,11 +6,9 @@ Five checks:
 1. every name in ``repro.__all__`` actually imports (no stale exports),
 2. every CLI ``choices=`` list for a strategy knob equals the corresponding
    component registry's names (no hand-maintained tuples),
-3. the extraction-at-scale lockstep: ``"portfolio"`` is registered in
-   ``EXTRACTORS`` and the CLI defaults for ``--extraction-deadline`` /
-   ``--no-extraction-prune`` / ``--no-ilp-warm-start`` equal the
-   ``TensatConfig`` field defaults (the config dataclass is the single
-   source of truth for engine-knob defaults),
+3. the extraction lockstep: the CLI default for ``--no-extraction-prune``
+   equals the ``TensatConfig`` field default (the config dataclass is the
+   single source of truth for engine-knob defaults),
 4. the ``serve`` CLI defaults equal the ``ServiceConfig`` field defaults,
 5. the operator-spec registry lockstep: every ``OpKind`` has a complete
    ``OPS`` spec, every registered symbol round-trips through
@@ -95,29 +93,23 @@ def check_cli_choices() -> list:
 
 
 def check_extraction_lockstep() -> list:
-    """The extraction-at-scale knobs stay consistent across all surfaces."""
-    problems = []
-    if "portfolio" not in EXTRACTORS:
-        problems.append("EXTRACTORS registry is missing the 'portfolio' entry")
+    """The extraction knobs' CLI defaults equal their config defaults."""
     defaults = config_module.TensatConfig()
     subcommands = _subcommand_parsers(build_parser())
     optimize = subcommands.get("optimize")
     if optimize is None:
-        return problems + ["CLI has no 'optimize' subcommand"]
+        return ["CLI has no 'optimize' subcommand"]
     cli_defaults = {a.dest: a.default for a in optimize._actions}
-    for dest, config_value in (
-        ("extraction_deadline", defaults.extraction_deadline),
-        ("extraction_prune", defaults.extraction_prune),
-        ("ilp_warm_start", defaults.ilp_warm_start),
-    ):
-        if dest not in cli_defaults:
-            problems.append(f"CLI 'optimize' has no flag wired to config.{dest}")
-        elif cli_defaults[dest] != config_value:
-            problems.append(
-                f"CLI 'optimize' default for {dest} is {cli_defaults[dest]!r} "
-                f"!= TensatConfig().{dest} == {config_value!r}"
-            )
-    return problems
+    dest = "extraction_prune"
+    config_value = getattr(defaults, dest)
+    if dest not in cli_defaults:
+        return [f"CLI 'optimize' has no flag wired to config.{dest}"]
+    if cli_defaults[dest] != config_value:
+        return [
+            f"CLI 'optimize' default for {dest} is {cli_defaults[dest]!r} "
+            f"!= TensatConfig().{dest} == {config_value!r}"
+        ]
+    return []
 
 
 def check_service_lockstep() -> list:
@@ -215,8 +207,8 @@ def main() -> int:
     n_knobs = len(CLI_REGISTRY_KNOBS)
     print(
         f"ok: {len(repro.__all__)} exports import, {n_knobs} CLI strategy knobs "
-        "match their registries, extraction "
-        "deadline/prune/warm-start defaults in lockstep, serve flags match "
+        "match their registries, extraction-prune default in lockstep, "
+        "serve flags match "
         "ServiceConfig, OPS registry / serializer / ONNX importer / CLI in lockstep"
     )
     return 0
