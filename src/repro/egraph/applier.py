@@ -37,7 +37,6 @@ from repro.egraph.cycles import CycleFilter, NoCycleFilter
 from repro.egraph.egraph import EGraph
 from repro.egraph.ematch import Match
 from repro.egraph.multipattern import MultiMatch, MultiPatternRewrite
-from repro.egraph.pattern import PatternNode
 from repro.egraph.rewrite import Rewrite
 
 __all__ = ["ApplyStats", "ApplyPlan"]
@@ -142,23 +141,24 @@ class ApplyPlan:
             cycle_filter = NoCycleFilter()
         stats = ApplyStats(n_planned=self.n_planned, n_deduped=self.n_deduped)
         unions_before = egraph.num_deferred_unions
-        ground_memo: Dict[PatternNode, int] = {}
+        ground_memo: Dict[str, int] = {}
+        allows = cycle_filter.allows
 
         for kind, rule, match in self._entries:
             if kind == _SINGLE:
                 leaves = [match.subst[v] for v in rule.rhs_variables]
-                if not cycle_filter.allows(egraph, [match.eclass], leaves):
+                if not allows(egraph, [match.eclass], leaves):
                     stats.n_skipped_cycle += 1
                     continue
-                rule.apply_deferred(egraph, match, ground_memo=ground_memo)
             else:
                 leaves = [match.subst[v] for v in rule.target_variables if v in match.subst]
-                if not cycle_filter.allows(egraph, list(match.eclasses), leaves):
+                if not allows(egraph, list(match.eclasses), leaves):
                     stats.n_skipped_cycle += 1
                     continue
-                rule.apply_deferred(egraph, match, ground_memo=ground_memo)
+            rule.apply_deferred(egraph, match, ground_memo)
             stats.n_applied += 1
-            if node_limit is not None and egraph.num_enodes > node_limit:
+            # len() is the maintained e-node count (EGraph.num_enodes).
+            if node_limit is not None and len(egraph) > node_limit:
                 stats.truncated = True
                 break
 

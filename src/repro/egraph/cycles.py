@@ -13,12 +13,20 @@ This module implements both cycle-filtering strategies from the paper:
 * **Vanilla**: before applying each substitution, run a fresh reachability
   pass over the whole e-graph and discard the substitution if it would create
   a cycle -- ``O(n_m * N)`` per iteration.
-* **Efficient** (Algorithm 2): build one descendants map per iteration and use
+* **Efficient** (Algorithm 2): keep one descendants map per iteration and use
   it as a constant-time *pre-filter* per match; since the map goes stale
   within the iteration, a *post-processing* DFS pass collects the cycles that
   slipped through and resolves each by adding its most recently inserted
   e-node to a *filter list*.  Filtered nodes are treated as removed: the
   descendants map, the DFS, and extraction all ignore them.
+
+The efficient filter makes one pass over the class graph per iteration
+(:func:`class_graph_pass`): after the rebuild, a colour DFS over dense class
+positions both checks that the graph is acyclic and folds each class's
+descendants into an int bitset.  The collecting DFS (:func:`find_cycles`)
+runs only when that check finds a cycle, and the next iteration's
+pre-filter reuses the bitsets unless the e-graph or the filter list changed
+in between.
 """
 
 from __future__ import annotations
@@ -31,8 +39,7 @@ from repro.egraph.language import ENode
 
 __all__ = [
     "FilterList",
-    "descendants_map",
-    "would_create_cycle",
+    "class_graph_pass",
     "reaches",
     "find_cycles",
     "resolve_cycles",
@@ -100,54 +107,6 @@ def _children_of_class(egraph: EGraph, eclass_id: int, filtered: FrozenSet[ENode
     return children
 
 
-def descendants_map(
-    egraph: EGraph, filter_list: Optional[FilterList] = None
-) -> Dict[int, Set[int]]:
-    """Map every e-class to the set of e-classes reachable through unfiltered e-nodes.
-
-    One pass over the e-graph (iterative DFS with memoisation).  If the
-    e-graph happens to contain cycles (possible mid-iteration before the
-    post-processing step has run), reachability is still well defined; nodes
-    on a cycle simply see each other as descendants as far as the already
-    finished portion of the traversal allows, which keeps the pre-filter a
-    sound approximation exactly as the paper describes.
-    """
-    filtered = filter_list.as_set(egraph) if filter_list is not None else frozenset()
-    desc: Dict[int, Set[int]] = {}
-    state: Dict[int, int] = {}  # 0 = unvisited, 1 = on stack, 2 = done
-
-    for start in egraph.eclass_ids():
-        start = egraph.find(start)
-        if state.get(start, 0) == 2:
-            continue
-        stack: List[Tuple[int, Iterable[int]]] = [(start, iter(_children_of_class(egraph, start, filtered)))]
-        state[start] = 1
-        desc.setdefault(start, set())
-        while stack:
-            cls, it = stack[-1]
-            advanced = False
-            for child in it:
-                desc[cls].add(child)
-                child_state = state.get(child, 0)
-                if child_state == 0:
-                    state[child] = 1
-                    desc.setdefault(child, set())
-                    stack.append((child, iter(_children_of_class(egraph, child, filtered))))
-                    advanced = True
-                    break
-                if child_state == 2:
-                    desc[cls] |= desc[child]
-                # child on stack (cycle): skip, handled by post-processing
-            if not advanced:
-                state[cls] = 2
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    desc[parent].add(cls)
-                    desc[parent] |= desc[cls]
-    return desc
-
-
 def reaches(
     egraph: EGraph,
     source: int,
@@ -172,28 +131,65 @@ def reaches(
     return False
 
 
-def would_create_cycle(
-    egraph: EGraph,
-    matched_eclasses: Sequence[int],
-    leaf_eclasses: Sequence[int],
-    desc: Dict[int, Set[int]],
-) -> bool:
-    """Pre-filter check (Algorithm 2, ``WillCreateCycle``).
+def class_graph_pass(
+    egraph: EGraph, filter_list: Optional[FilterList] = None
+) -> Tuple[Dict[int, int], List[int], bool]:
+    """One pass over the class graph through unfiltered e-nodes.
 
-    Applying a rewrite adds, to each matched e-class ``m``, a new sub-term
-    whose leaves are the e-classes the substitution binds.  If some leaf ``s``
-    can already reach ``m``, then after the rewrite ``m`` reaches ``s`` too and
-    a cycle appears.  Sound but not complete: relations added earlier in the
-    same iteration are not in ``desc`` (the paper handles those in the
-    post-processing step).
+    Returns ``(position, bits, acyclic)``: ``position`` numbers the
+    canonical e-classes densely, and bit ``position[d]`` of
+    ``bits[position[c]]`` is set when ``d`` is reachable from ``c``.  One
+    iterative colour DFS does both jobs: a child found on the DFS stack is a
+    back edge, so ``acyclic`` is False exactly when the graph has a cycle
+    (exactly when :func:`find_cycles` returns a non-empty list), and each
+    class's bitset folds in its children's as the DFS leaves them.
+
+    On an acyclic graph the bitsets are exact reachability.  On a cyclic
+    one a class misses what it reaches only through a class still on the
+    stack -- the sound approximation the paper's pre-filter allows, which
+    the post-processing step makes up for.
     """
-    for m in matched_eclasses:
-        m = egraph.find(m)
-        for leaf in leaf_eclasses:
-            leaf = egraph.find(leaf)
-            if leaf == m or m in desc.get(leaf, ()):
-                return True
-    return False
+    filtered = filter_list.as_set(egraph) if filter_list is not None else frozenset()
+    position = {cls: i for i, cls in enumerate(egraph.eclass_ids())}
+    canonicalize = egraph.canonicalize
+    kids: List[List[int]] = []
+    for eclass in egraph.classes():
+        # A set filled in node order, as the reference descendants map used:
+        # on a cyclic graph the DFS order decides what a class misses.
+        children: Set[int] = set()
+        for node in eclass.nodes:
+            canonical = canonicalize(node)
+            if canonical not in filtered:
+                children.update(canonical.children)
+        kids.append([position[child] for child in children])
+
+    bits = [0] * len(kids)
+    state = [0] * len(kids)  # 0 = unvisited, 1 = on the DFS stack, 2 = done
+    acyclic = True
+    for start in range(len(kids)):
+        if state[start]:
+            continue
+        state[start] = 1
+        stack = [(start, iter(kids[start]))]
+        while stack:
+            cls, it = stack[-1]
+            for child in it:
+                bits[cls] |= 1 << child
+                child_state = state[child]
+                if child_state == 0:
+                    state[child] = 1
+                    stack.append((child, iter(kids[child])))
+                    break
+                if child_state == 2:
+                    bits[cls] |= bits[child]
+                else:
+                    acyclic = False  # back edge (a self-loop included)
+            else:
+                state[cls] = 2
+                stack.pop()
+                if stack:
+                    bits[stack[-1][0]] |= bits[cls]
+    return position, bits, acyclic
 
 
 # ---------------------------------------------------------------------- #
@@ -338,21 +334,72 @@ class VanillaCycleFilter(CycleFilter):
 
 
 class EfficientCycleFilter(CycleFilter):
-    """Descendants-map pre-filter + DFS post-processing (paper Algorithm 2)."""
+    """Descendants-bitset pre-filter + DFS post-processing (paper Algorithm 2).
+
+    Each iteration pays for one :func:`class_graph_pass`, run after the
+    rebuild in :meth:`end_iteration`; :func:`find_cycles` and
+    :func:`resolve_cycles` run only when that pass finds a cycle, followed
+    by another pass.  The next :meth:`begin_iteration` reuses the pass's
+    bitsets when the e-graph and filter list are as the pass left them --
+    the stamp ``(e-graph, filter list, num_unions, num_enodes, len(filter
+    list))`` -- and recomputes them otherwise: every change to the class
+    graph adds an e-node or performs a union, and the filter list only
+    grows between unions.
+    """
 
     def __init__(self) -> None:
         super().__init__()
-        self._descendants: Dict[int, Set[int]] = {}
+        self._position: Dict[int, int] = {}
+        self._bits: List[int] = []
+        self._acyclic = False
+        self._stamp: Optional[tuple] = None
+
+    def _stamp_of(self, egraph: EGraph) -> tuple:
+        flist = self.filter_list
+        return (egraph, flist, egraph.num_unions, egraph.num_enodes, len(flist))
+
+    def _pass(self, egraph: EGraph) -> bool:
+        """Run :func:`class_graph_pass`, keep its bitsets; True when acyclic."""
+        self._position, self._bits, self._acyclic = class_graph_pass(egraph, self.filter_list)
+        self._stamp = self._stamp_of(egraph)
+        return self._acyclic
 
     def begin_iteration(self, egraph: EGraph) -> None:
-        self.filter_list.refresh(egraph)
-        self._descendants = descendants_map(egraph, self.filter_list)
+        if self._stamp != self._stamp_of(egraph):
+            self._pass(egraph)
 
     def allows(self, egraph: EGraph, matched_eclasses: Sequence[int], leaf_eclasses: Sequence[int]) -> bool:
-        return not would_create_cycle(egraph, matched_eclasses, leaf_eclasses, self._descendants)
+        """``WillCreateCycle`` of Algorithm 2, negated.
+
+        Applying a rewrite adds, to each matched e-class ``m``, a new
+        sub-term whose leaves are the e-classes the substitution binds.  If
+        some leaf ``s`` can already reach ``m``, then after the rewrite ``m``
+        reaches ``s`` too and a cycle appears.  Sound but not complete:
+        relations added earlier in the same iteration are not in the
+        bitsets (the post-processing step handles those).
+        """
+        find, position, bits = egraph.find, self._position, self._bits
+        for m in matched_eclasses:
+            m = find(m)
+            m_pos = position.get(m)
+            for leaf in leaf_eclasses:
+                leaf = find(leaf)
+                if leaf == m:
+                    return False
+                if m_pos is not None:
+                    leaf_pos = position.get(leaf)
+                    if leaf_pos is not None and bits[leaf_pos] >> m_pos & 1:
+                        return False
+        return True
 
     def end_iteration(self, egraph: EGraph) -> int:
-        return _postprocess(egraph, self.filter_list)
+        """Collect and resolve cycles until a pass finds none; return how many."""
+        if self._acyclic and self._stamp == self._stamp_of(egraph):
+            return 0  # the iteration changed nothing since an acyclic pass
+        resolved = 0
+        while not self._pass(egraph):
+            resolved += resolve_cycles(egraph, self.filter_list, find_cycles(egraph, self.filter_list))
+        return resolved
 
 
 def _postprocess(egraph: EGraph, filter_list: FilterList) -> int:
@@ -364,15 +411,6 @@ def _postprocess(egraph: EGraph, filter_list: FilterList) -> int:
             return total
         resolved = resolve_cycles(egraph, filter_list, cycles)
         if resolved == 0:
-            # Every remaining cycle was already broken; re-check on next pass.
-            resolved_extra = 0
-            for cycle in cycles:
-                if not any(filter_list.contains(egraph, enode) for _, enode in cycle):
-                    newest = max(cycle, key=lambda entry: egraph.node_birth(entry[1]))
-                    filter_list.add(egraph, newest[1])
-                    resolved_extra += 1
-            if resolved_extra == 0:
-                return total
-            total += resolved_extra
-        else:
-            total += resolved
+            # Every cycle already held a filtered e-node: nothing to break.
+            return total
+        total += resolved

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.egraph.analysis import Analysis, NoAnalysis
 from repro.egraph.language import ENode, RecExpr
@@ -50,6 +50,12 @@ class EGraph:
     def __init__(self, analysis: Optional[Analysis] = None) -> None:
         self.analysis: Analysis = analysis if analysis is not None else NoAnalysis()
         self._uf = UnionFind()
+        # find(eclass_id) -> canonical id of its e-class.  The union-find's
+        # own method, bound once: the hottest call of a saturation run costs
+        # one Python frame, not a wrapper's two.
+        self.find: Callable[[int], int] = self._uf.find
+        # Its parent list, read by canonicalize() to spot all-root children.
+        self._parent = self._uf._parent
         self._classes: Dict[int, EClass] = {}
         self._memo: Dict[ENode, int] = {}
         self._pending: List[int] = []  # e-classes whose parents need re-canonicalising
@@ -101,10 +107,6 @@ class EGraph:
     def __getitem__(self, eclass_id: int) -> EClass:
         return self._classes[self.find(eclass_id)]
 
-    def find(self, eclass_id: int) -> int:
-        """Canonical id of the e-class containing ``eclass_id``."""
-        return self._uf.find(eclass_id)
-
     def analysis_data(self, eclass_id: int) -> Any:
         return self._classes[self.find(eclass_id)].data
 
@@ -126,11 +128,11 @@ class EGraph:
         children = enode.children
         if not children:
             return enode
-        find = self._uf.find
-        new_children = tuple(find(c) for c in children)
-        if new_children == children:
+        # Children that are their own parents are roots: one C-level map
+        # decides the common case without calling find() per child.
+        if tuple(map(self._parent.__getitem__, children)) == children:
             return enode
-        return ENode(enode.op, new_children)
+        return ENode(enode.op, tuple(map(self.find, children)))
 
     def lookup(self, enode: ENode) -> Optional[int]:
         """Return the e-class of ``enode`` if it is already present."""

@@ -16,17 +16,53 @@ from repro import sexpr as sx
 __all__ = ["ENode", "RecExpr"]
 
 
-@dataclass(frozen=True)
 class ENode:
     """An operator applied to children e-classes (or term indices).
 
     ``children`` are interpreted relative to a context: inside an
     :class:`~repro.egraph.egraph.EGraph` they are e-class ids, inside a
     :class:`RecExpr` they are indices of earlier entries in the expression.
+
+    Immutable.  The hash is computed once, at construction, and is exactly
+    ``hash((op, children))`` -- the value a frozen dataclass would give, so
+    set and dict iteration orders do not depend on the caching.  It is not
+    part of the pickled state: str hashes are salted per process, so an
+    unpickled e-node hashes afresh (``optimize_many(executor="process")``
+    ships e-nodes across processes).
     """
 
+    __slots__ = ("op", "children", "_hash")
+
     op: str
-    children: Tuple[int, ...] = ()
+    children: Tuple[int, ...]
+
+    def __init__(self, op: str, children: Tuple[int, ...] = ()) -> None:
+        _set = object.__setattr__
+        _set(self, "op", op)
+        _set(self, "children", children)
+        _set(self, "_hash", hash((op, children)))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"ENode is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"ENode is immutable: cannot delete {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not ENode:
+            return NotImplemented
+        return self.op == other.op and self.children == other.children
+
+    def __reduce__(self):
+        return (ENode, (self.op, self.children))
+
+    def __repr__(self) -> str:
+        return f"ENode(op={self.op!r}, children={self.children!r})"
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         if not self.children:

@@ -72,7 +72,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.egraph.egraph import EGraph
 from repro.egraph.language import ENode
-from repro.egraph.pattern import Pattern, PatternNode, PatternTerm, PatternVar
+from repro.egraph.pattern import Pattern, PatternNode, PatternVar, ground_steps, is_ground_term
 
 __all__ = [
     "Program",
@@ -120,27 +120,8 @@ class Program:
 _PROGRAM_CACHE: "weakref.WeakKeyDictionary[Pattern, Program]" = weakref.WeakKeyDictionary()
 
 
-def _is_ground(term: PatternTerm) -> bool:
-    if isinstance(term, PatternVar):
-        return False
-    return all(_is_ground(c) for c in term.children)
-
-
 def _ground_size(term: PatternNode) -> int:
     return 1 + sum(_ground_size(c) for c in term.children)
-
-
-def _ground_steps(term: PatternNode) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
-    """Flatten a ground term into bottom-up ``(op, child_slots)`` steps."""
-    steps: List[Tuple[str, Tuple[int, ...]]] = []
-
-    def go(t: PatternNode) -> int:
-        slots = tuple(go(c) for c in t.children)
-        steps.append((t.op, slots))
-        return len(steps) - 1
-
-    go(term)
-    return tuple(steps)
 
 
 def compile_pattern(pattern: Pattern) -> Program:
@@ -161,8 +142,8 @@ def compile_pattern(pattern: Pattern) -> Program:
                 var_regs[term.name] = reg
             else:
                 insts.append((COMPARE, reg, first))
-        elif _is_ground(term) and _ground_size(term) >= _LOOKUP_MIN_NODES:
-            insts.append((LOOKUP, _ground_steps(term), reg))
+        elif is_ground_term(term) and _ground_size(term) >= _LOOKUP_MIN_NODES:
+            insts.append((LOOKUP, ground_steps(term), reg))
         else:
             out = next_reg
             next_reg += len(term.children)

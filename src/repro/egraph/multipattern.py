@@ -109,6 +109,8 @@ class MultiPatternRewrite:
                     target_vars.append(name)
         self.target_variables: Tuple[str, ...] = tuple(target_vars)
         self.targets_key: Tuple[str, ...] = tuple(str(t) for t in self.targets)
+        # Every target compiled once for instantiation.
+        self.target_programs = tuple(t.rhs_program for t in self.targets)
 
     @classmethod
     def parse(
@@ -301,8 +303,8 @@ class MultiPatternRewrite:
         :meth:`EGraph.flush_deferred_unions` batch before the apply phase's
         single rebuild.
         """
-        for target, matched_class in zip(self.targets, multi.eclasses):
-            added = target.instantiate(egraph, multi.subst, ground_memo=ground_memo)
+        for program, matched_class in zip(self.target_programs, multi.eclasses):
+            added = program.run(egraph, multi.subst, ground_memo)
             egraph.union_deferred(matched_class, added)
 
     def __str__(self) -> str:

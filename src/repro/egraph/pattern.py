@@ -8,7 +8,8 @@ A pattern is the left- or right-hand side of a rewrite rule (paper Section
 Patterns support:
 
 * parsing from S-expressions,
-* instantiation under a substitution (variable -> e-class id),
+* instantiation under a substitution (variable -> e-class id), by a flat
+  post-order program compiled once per pattern (:class:`RHSProgram`),
 * canonicalization by variable renaming, used by the multi-pattern algorithm
   (paper Algorithm 1) to share e-matching work between rules whose source
   patterns differ only in variable names.
@@ -17,12 +18,13 @@ Patterns support:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import sexpr as sx
 from repro.egraph.language import ENode, RecExpr
 
-__all__ = ["Pattern", "PatternNode", "PatternVar", "Substitution"]
+__all__ = ["Pattern", "PatternNode", "PatternVar", "RHSProgram", "Substitution"]
 
 Substitution = Dict[str, int]
 
@@ -187,57 +189,28 @@ class Pattern:
         self,
         egraph,
         subst: Substitution,
-        ground_memo: Optional[Dict[PatternNode, int]] = None,
+        ground_memo: Optional[Dict[str, int]] = None,
     ) -> int:
         """Add this pattern to ``egraph`` under ``subst`` and return the root e-class.
 
-        ``ground_memo`` optionally caches the e-class of every *ground*
-        sub-term (no variables below it) across instantiations.  A batched
-        apply plan shares one memo for a whole apply phase -- ground
-        sub-terms recur across matches and rules, and while unions are
-        deferred the cached ids stay canonical -- turning repeated hash-cons
-        descents into single dict hits.  (Hash-consing makes repeated adds
-        no-ops anyway, so the memo never changes the resulting e-graph.)
+        Runs the pattern's :class:`RHSProgram` (compiled once per pattern):
+        the e-nodes are added in post-order, children left to right.
+
+        ``ground_memo`` optionally caches the e-class of every maximal
+        *ground* sub-term (no variables below it) across instantiations,
+        keyed by its text.  A batched apply plan shares one memo for a whole
+        apply phase -- ground sub-terms recur across matches and rules, and
+        while unions are deferred the cached ids stay canonical -- turning
+        repeated hash-cons descents into single dict hits.  (Hash-consing
+        makes repeated adds no-ops anyway, so the memo never changes the
+        resulting e-graph.)
         """
+        return self.rhs_program.run(egraph, subst, ground_memo)
 
-        def go(term: PatternTerm) -> Tuple[int, bool]:
-            if isinstance(term, PatternVar):
-                try:
-                    return subst[term.name], False
-                except KeyError as exc:
-                    raise KeyError(f"substitution missing variable ?{term.name}") from exc
-            if ground_memo is not None:
-                hit = ground_memo.get(term)
-                if hit is not None:
-                    return hit, True
-            results = [go(c) for c in term.children]
-            eclass = egraph.add(ENode(term.op, tuple(r[0] for r in results)))
-            ground = all(r[1] for r in results)
-            if ground and ground_memo is not None:
-                ground_memo[term] = eclass
-            return eclass, ground
-
-        return go(self.root)[0]
-
-    def preview_enodes(self, subst: Substitution) -> List[ENode]:
-        """E-nodes that *would* be created by :meth:`instantiate` (bottom-up order).
-
-        Child ids referring to pattern-internal nodes are marked with negative
-        placeholders; only the e-classes drawn from ``subst`` appear as real
-        (non-negative) ids.  Used by cycle pre-filtering, which only needs to
-        know which existing e-classes the new subgraph hangs below.
-        """
-        nodes: List[ENode] = []
-
-        def go(term: PatternTerm) -> int:
-            if isinstance(term, PatternVar):
-                return subst[term.name]
-            child_ids = tuple(go(c) for c in term.children)
-            nodes.append(ENode(term.op, child_ids))
-            return -len(nodes)  # placeholder id for internal nodes
-
-        go(self.root)
-        return nodes
+    @cached_property
+    def rhs_program(self) -> "RHSProgram":
+        """This pattern compiled for instantiation (built on first use)."""
+        return RHSProgram.compile(self)
 
     def substituted_leaves(self, subst: Substitution) -> List[int]:
         """The e-class ids that this pattern's variables map to under ``subst``."""
@@ -262,3 +235,93 @@ class Pattern:
 
         go(self.root)
         return rec
+
+
+def is_ground_term(term: PatternTerm) -> bool:
+    """True when no variable occurs in ``term``."""
+    if isinstance(term, PatternVar):
+        return False
+    return all(is_ground_term(c) for c in term.children)
+
+
+def ground_steps(term: PatternNode) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
+    """Flatten a ground term into bottom-up ``(op, child_slots)`` steps."""
+    steps: List[Tuple[str, Tuple[int, ...]]] = []
+
+    def go(t: PatternNode) -> int:
+        slots = tuple(go(c) for c in t.children)
+        steps.append((t.op, slots))
+        return len(steps) - 1
+
+    go(term)
+    return tuple(steps)
+
+
+class RHSProgram:
+    """A pattern compiled for instantiation: a flat post-order list of steps.
+
+    The model is egg's ``apply_pat``: no recursion and no per-call pattern
+    hashing, just one walk over the steps with a buffer of e-class ids.  The
+    buffer starts with the substitution's value of each variable (in
+    first-appearance order); each step appends one id:
+
+    * ``(None, op, slots)`` adds ``ENode(op, children)`` with the children
+      read from the buffer at ``slots``;
+    * ``(key, block, ())`` stands for a maximal ground sub-term: its e-class
+      comes from the ground memo under ``key`` (the sub-term's text, built
+      here once), or else from adding ``block`` -- the sub-term's own
+      post-order ``(op, local slots)`` list.
+
+    Steps follow the recursive instantiation's post-order (children left to
+    right, parent last), so the e-nodes are added in the same order and get
+    the same e-class ids and birth stamps.
+    """
+
+    __slots__ = ("variables", "steps", "result")
+
+    def __init__(self, variables: Tuple[str, ...], steps: Tuple[tuple, ...], result: int) -> None:
+        self.variables = variables
+        self.steps = steps
+        self.result = result
+
+    @classmethod
+    def compile(cls, pattern: Pattern) -> "RHSProgram":
+        variables = tuple(pattern.variables())
+        slot_of = {name: i for i, name in enumerate(variables)}
+        steps: List[tuple] = []
+
+        def emit(term: PatternTerm) -> int:
+            if isinstance(term, PatternVar):
+                return slot_of[term.name]
+            if is_ground_term(term):
+                steps.append((str(term), ground_steps(term), ()))
+            else:
+                slots = tuple(emit(c) for c in term.children)
+                steps.append((None, term.op, slots))
+            return len(variables) + len(steps) - 1
+
+        result = emit(pattern.root)
+        return cls(variables, tuple(steps), result)
+
+    def run(self, egraph, subst: Substitution, ground_memo: Optional[Dict[str, int]] = None) -> int:
+        """Add the pattern under ``subst``; return the root e-class."""
+        try:
+            buf = [subst[name] for name in self.variables]
+        except KeyError as exc:
+            raise KeyError(f"substitution missing variable ?{exc.args[0]}") from exc
+        add = egraph.add
+        read = buf.__getitem__
+        for key, op, slots in self.steps:
+            if key is None:
+                buf.append(add(ENode(op, tuple(map(read, slots)))))
+                continue
+            eclass = None if ground_memo is None else ground_memo.get(key)
+            if eclass is None:
+                ids: List[int] = []
+                for block_op, block_slots in op:
+                    ids.append(add(ENode(block_op, tuple(map(ids.__getitem__, block_slots)))))
+                eclass = ids[-1]
+                if ground_memo is not None:
+                    ground_memo[key] = eclass
+            buf.append(eclass)
+        return buf[self.result]

@@ -48,6 +48,8 @@ class Rewrite:
         # the identity/variables that determine the RHS instantiation (dedup key).
         self.rhs_variables: Tuple[str, ...] = tuple(self.rhs.variables())
         self.rhs_key: str = str(self.rhs)
+        # The right-hand side compiled once, like the source pattern.
+        self.rhs_program = self.rhs.rhs_program
 
     @classmethod
     def parse(
@@ -103,7 +105,7 @@ class Rewrite:
         applied in one :meth:`EGraph.flush_deferred_unions` batch before the
         phase's single rebuild.  Returns the e-class of the added RHS.
         """
-        added = self.rhs.instantiate(egraph, match.subst, ground_memo=ground_memo)
+        added = self.rhs_program.run(egraph, match.subst, ground_memo)
         egraph.union_deferred(match.eclass, added)
         return added
 

@@ -8,7 +8,7 @@ __all__ = ["UnionFind"]
 
 
 class UnionFind:
-    """A union-find over dense integer ids with path compression.
+    """A union-find over dense integer ids with path halving.
 
     Ids are allocated with :meth:`make_set` and are contiguous starting at 0.
     Union-by-size keeps find operations near-constant amortised time, which
@@ -31,15 +31,20 @@ class UnionFind:
         return new_id
 
     def find(self, x: int) -> int:
-        """Return the canonical representative of ``x``."""
+        """Return the canonical representative of ``x``.
+
+        Path halving: every node on the walk is pointed at its grandparent,
+        in one loop.  Each :class:`~repro.egraph.egraph.EGraph` binds this
+        method as its own ``find``.
+        """
         parent = self._parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        # Path compression.
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+        while True:
+            p = parent[x]
+            if p == x:
+                return x
+            grandparent = parent[p]
+            parent[x] = grandparent
+            x = grandparent
 
     def union(self, a: int, b: int) -> int:
         """Merge the sets containing ``a`` and ``b``; return the new root.

@@ -1,15 +1,15 @@
 """Tests for cycle detection and the two cycle-filtering strategies."""
 
+from oracles.cycles import descendants_map, would_create_cycle
 from repro.egraph.cycles import (
     EfficientCycleFilter,
     FilterList,
     NoCycleFilter,
     VanillaCycleFilter,
-    descendants_map,
+    class_graph_pass,
     find_cycles,
     reaches,
     resolve_cycles,
-    would_create_cycle,
 )
 from repro.egraph.egraph import EGraph
 from repro.egraph.language import ENode
@@ -44,6 +44,10 @@ class TestReachability:
         assert a in desc[eg.find(root)]
         assert g in desc[eg.find(root)]
         assert desc[eg.find(a)] == set()
+        position, bits, acyclic = class_graph_pass(eg)
+        assert acyclic
+        for cls, reached in desc.items():
+            assert bits[position[cls]] == sum(1 << position[d] for d in reached)
 
     def test_reaches(self):
         eg = EGraph()
@@ -63,6 +67,10 @@ class TestReachability:
         assert would_create_cycle(eg, [a], [root], desc)
         # Adding to `root` a node over `a` is fine.
         assert not would_create_cycle(eg, [root], [a], desc)
+        cycle_filter = EfficientCycleFilter()
+        cycle_filter.begin_iteration(eg)
+        assert not cycle_filter.allows(eg, [a], [root])
+        assert cycle_filter.allows(eg, [root], [a])
 
     def test_filtered_nodes_are_ignored(self):
         eg = EGraph()
@@ -236,6 +244,9 @@ class TestEdgeCases:
         desc = descendants_map(eg)
         # A node in class(a) whose child is class(a) itself: immediate self-loop.
         assert would_create_cycle(eg, [a], [a], desc)
+        cycle_filter = EfficientCycleFilter()
+        cycle_filter.begin_iteration(eg)
+        assert not cycle_filter.allows(eg, [a], [a])
 
 
 class TestFilterList:

@@ -1,8 +1,16 @@
 """Tests for ENode and RecExpr."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.egraph.language import ENode, RecExpr
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestENode:
@@ -35,6 +43,41 @@ class TestENode:
         assert node.matches_signature("f", 2)
         assert not node.matches_signature("f", 1)
         assert not node.matches_signature("g", 2)
+
+
+class TestENodeHash:
+    def test_hash_is_the_field_tuple_hash(self):
+        # The cached value must equal what a frozen dataclass computed, so
+        # set and dict iteration orders are unchanged by the caching.
+        node = ENode("matmul", (3, 1, 4))
+        assert hash(node) == hash(("matmul", (3, 1, 4)))
+
+    def test_immutable(self):
+        node = ENode("f", (1,))
+        with pytest.raises(AttributeError):
+            node.op = "g"
+
+    def test_unpickled_in_another_hash_seed_is_a_dict_key(self):
+        # str hashes are salted per process: a pickled cached hash would be
+        # wrong in a process with another PYTHONHASHSEED.
+        node = ENode("ewadd", (0, 1))
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        script = (
+            "import pickle, sys\n"
+            "from repro.egraph.language import ENode\n"
+            "node = pickle.loads(sys.stdin.buffer.read())\n"
+            "table = {ENode('ewadd', (0, 1)): 'found'}\n"
+            "print(table.get(node), hash(node) == hash((node.op, node.children)))\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            input=pickle.dumps(node),
+            capture_output=True,
+            env=env,
+            check=True,
+        )
+        assert out.stdout.decode().split() == ["found", "True"]
 
 
 class TestRecExpr:
