@@ -23,9 +23,7 @@ Or phase by phase, with the session API (see ``docs/api.md``)::
         pass
     result = session.result()
 
-Batches share one compiled rule trie via :func:`optimize_many`, and the
-component registries in :mod:`repro.core.registry` let third-party
-extractors / schedulers / cycle filters plug in without editing the driver.
+Batches share one compiled rule trie via :func:`optimize_many`.
 
 For repeated traffic there is a long-lived daemon (``python -m repro serve``)
 with a canonical-fingerprint result cache; see :mod:`repro.service` and
@@ -38,7 +36,7 @@ The package is organised as:
 * :mod:`repro.rules`    -- TASO-style rewrite rule library.
 * :mod:`repro.costs`    -- operator cost models (analytic T4-like device model).
 * :mod:`repro.backend`  -- numpy reference executor and simulated runtimes.
-* :mod:`repro.search`   -- sequential baselines (TASO-style backtracking, sampling).
+* :mod:`repro.search`   -- the sequential TASO-style backtracking baseline.
 * :mod:`repro.core`     -- the TENSAT optimizer itself.
 * :mod:`repro.models`   -- benchmark model graph constructors.
 """
@@ -47,7 +45,6 @@ from repro.core.batch import ComparisonResult, compare, optimize_many
 from repro.core.config import ConfigError, TensatConfig
 from repro.core.events import OptimizationObserver, PhaseTimingObserver, RecordingObserver
 from repro.core.optimizer import OptimizationResult, TensatOptimizer, optimize
-from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, Registry, SCHEDULERS
 from repro.core.session import OptimizationSession
 from repro.core.stats import OptimizationStats
 from repro.ir.graph import GraphBuilder, TensorGraph
@@ -81,11 +78,6 @@ __all__ = [
     "OptimizationObserver",
     "PhaseTimingObserver",
     "RecordingObserver",
-    # Component registries
-    "Registry",
-    "CYCLE_FILTERS",
-    "EXTRACTORS",
-    "SCHEDULERS",
     # Optimization service
     "ResultCache",
     "ServiceClient",

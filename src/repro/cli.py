@@ -22,8 +22,10 @@ import sys
 from typing import Optional, Sequence
 
 from repro.core import TensatConfig, compare, optimize
-from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, SCHEDULERS
 from repro.costs import AnalyticCostModel
+from repro.egraph.cycles import CYCLE_FILTERS
+from repro.egraph.extraction import EXTRACTORS
+from repro.egraph.scheduler import SCHEDULERS
 from repro.ir.serialize import graph_to_doc, load_graph, save_graph
 from repro.models import MODEL_NAMES, build_model, load_onnx_model, parse_dim_overrides
 from repro.rules import default_ruleset
@@ -34,7 +36,7 @@ __all__ = ["main", "build_parser"]
 
 #: Engine-knob defaults come from the config dataclass itself, so the CLI can
 #: never drift from what library users get; choices come straight from the
-#: component registries (tools/check_api.py asserts they stay in lockstep).
+#: name tables (tools/check_api.py asserts they stay in lockstep).
 _CONFIG_DEFAULTS = TensatConfig()
 
 #: Service-knob defaults likewise come from the ServiceConfig dataclass
@@ -66,16 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--k-multi", type=int, default=1, help="iterations of multi-pattern rewrites")
     opt.add_argument("--node-limit", type=int, default=5_000)
     opt.add_argument("--iter-limit", type=int, default=8)
-    opt.add_argument("--extraction", choices=EXTRACTORS.names(), default="ilp")
+    opt.add_argument("--extraction", choices=tuple(EXTRACTORS), default="ilp")
     opt.add_argument("--ilp-time-limit", type=float, default=60.0)
+    opt.add_argument("--cycle-filter", choices=tuple(CYCLE_FILTERS), default="efficient")
     opt.add_argument(
-        "--no-extraction-prune", dest="extraction_prune", action="store_false",
-        help="disable dominated-node pruning / forced classes before the "
-             "extraction ILP solve (optimum-preserving when enabled)",
-    )
-    opt.add_argument("--cycle-filter", choices=CYCLE_FILTERS.names(), default="efficient")
-    opt.add_argument(
-        "--scheduler", choices=SCHEDULERS.names(), default=_CONFIG_DEFAULTS.scheduler,
+        "--scheduler", choices=tuple(SCHEDULERS), default=_CONFIG_DEFAULTS.scheduler,
         help="rule scheduling: every rule every iteration, or egg-style backoff",
     )
     opt.add_argument("--output", help="write the optimized graph to this path (.json or .sexpr)")
@@ -145,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
         help="per-request TensatConfig override, repeatable (validated "
-             "server-side against the component registries)",
+             "server-side against TensatConfig and its name tables)",
     )
     submit.add_argument("--output", help="write the optimized graph to this path (.json or .sexpr)")
     submit.add_argument("--json", action="store_true", help="print the raw response as JSON")
@@ -161,7 +158,6 @@ def _config_from_args(args) -> TensatConfig:
         k_multi=args.k_multi,
         extraction=args.extraction,
         ilp_time_limit=args.ilp_time_limit,
-        extraction_prune=args.extraction_prune,
         cycle_filter=cycle_filter,
         ilp_cycle_constraints=(cycle_filter == "none"),
         scheduler=args.scheduler,

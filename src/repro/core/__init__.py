@@ -2,32 +2,26 @@
 
 The driver layer: :class:`OptimizationSession` (steppable phases),
 :class:`TensatOptimizer` / :func:`optimize` (one-shot composition),
-:func:`optimize_many` / :func:`compare` (batch front door), the component
-registries (:mod:`repro.core.registry`), and the observer hooks
-(:mod:`repro.core.events`).
+:func:`optimize_many` / :func:`compare` (batch front door), and the
+observer hooks (:mod:`repro.core.events`).
 """
 
 from repro.core.batch import ComparisonResult, compare, compile_shared_trie, optimize_many
 from repro.core.config import ConfigError, TensatConfig
 from repro.core.events import OptimizationObserver, PhaseTimingObserver, RecordingObserver
 from repro.core.optimizer import OptimizationResult, TensatOptimizer, optimize
-from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, Registry, SCHEDULERS
 from repro.core.session import OptimizationSession, materialize_extraction
 from repro.core.stats import OptimizationStats
 
 __all__ = [
     "ComparisonResult",
     "ConfigError",
-    "CYCLE_FILTERS",
-    "EXTRACTORS",
     "OptimizationObserver",
     "OptimizationResult",
     "OptimizationSession",
     "OptimizationStats",
     "PhaseTimingObserver",
     "RecordingObserver",
-    "Registry",
-    "SCHEDULERS",
     "TensatConfig",
     "TensatOptimizer",
     "compare",

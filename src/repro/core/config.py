@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
-from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, SCHEDULERS
+from repro.egraph.cycles import CYCLE_FILTERS
+from repro.egraph.extraction import EXTRACTORS
+from repro.egraph.scheduler import SCHEDULERS
 
 __all__ = ["TensatConfig", "ConfigError"]
 
@@ -19,8 +20,8 @@ class ConfigError(ValueError):
     """
 
 
-#: Knob name -> the registry its value must name an entry of.
-_KNOB_REGISTRIES = (
+#: Knob name -> the name table its value must be a key of.
+_KNOB_TABLES = (
     ("extraction", EXTRACTORS),
     ("scheduler", SCHEDULERS),
     ("cycle_filter", CYCLE_FILTERS),
@@ -48,9 +49,6 @@ class TensatConfig:
     k_multi: int = 1
     #: Exploration wall-clock limit in seconds.
     exploration_time_limit: float = 3600.0
-    #: Optional safety cap on the Cartesian-product size per multi-pattern rule
-    #: per iteration (None reproduces the paper exactly).
-    max_multi_combinations: Optional[int] = None
     #: Rule scheduling during exploration: "simple" (paper behaviour -- every
     #: rule fires every iteration) or "backoff" (egg-style: rules whose match
     #: count explodes are temporarily banned, keeping the e-graph focused when
@@ -60,9 +58,6 @@ class TensatConfig:
     scheduler_match_limit: int = 1_000
     #: Backoff scheduler base ban length in iterations.
     scheduler_ban_length: int = 5
-    #: Seed each exploration iteration's search from the e-classes dirtied by
-    #: the previous iteration; iteration 0 is always a full search.
-    delta_matching: bool = True
 
     # ------------------------------------------------------------------ #
     # Cycle handling
@@ -76,36 +71,26 @@ class TensatConfig:
     #: "ilp" (HiGHS, falling back to greedy when it returns no solution) or
     #: "greedy" (see docs/extraction.md).
     extraction: str = "ilp"
-    #: Prune dominated e-nodes and force the e-classes every selection must
-    #: cover before solving (optimum-preserving; shrinks the ILP variable
-    #: space and tightens its LP relaxation).
-    extraction_prune: bool = True
     #: Include the topological-order (cycle) constraints in the ILP.
     ilp_cycle_constraints: bool = False
-    #: Use integer instead of real topological-order variables.
-    ilp_integer_topo: bool = False
     #: ILP solver time limit in seconds (paper: 3600).
     ilp_time_limit: float = 3600.0
-    #: Fall back to greedy extraction when the ILP solver returns no solution.
-    ilp_fallback_to_greedy: bool = True
     #: Relative MIP optimality gap (0 = prove optimality, as the paper's SCIP setup does).
     ilp_mip_gap: float = 0.0
 
     # ------------------------------------------------------------------ #
     # Validation
     # ------------------------------------------------------------------ #
-    #: Re-run shape validation and interface checks on the optimized graph.
-    validate_output: bool = True
-    #: Additionally execute original and optimized graphs on random data and
-    #: compare outputs (slow; intended for tests and examples).
+    #: Also execute original and optimized graphs on random data and compare
+    #: outputs (slow; intended for tests and examples).  Shape validation and
+    #: the interface check always run.
     verify_numerically: bool = False
 
     def __post_init__(self) -> None:
-        # Strategy knobs validate against the live component registries, so
-        # a third-party extractor/scheduler registered before this config is
-        # constructed is accepted without touching this module.
-        for knob, registry in _KNOB_REGISTRIES:
-            registry.check(getattr(self, knob))
+        for knob, table in _KNOB_TABLES:
+            value = getattr(self, knob)
+            if value not in table:
+                raise ValueError(f"unknown {knob} {value!r}; available: {', '.join(table)}")
         if self.node_limit <= 0 or self.iter_limit <= 0:
             raise ValueError("node_limit and iter_limit must be positive")
         if self.k_multi < 0:

@@ -30,10 +30,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.backend.executor import execute_graph, outputs_allclose
 from repro.core.config import TensatConfig
 from repro.core.events import dispatch_event
-from repro.core.registry import EXTRACTORS
 from repro.core.stats import OptimizationStats
 from repro.costs.model import AnalyticCostModel, CostModel
 from repro.egraph.cycles import CycleFilter
+from repro.egraph.extraction import EXTRACTORS
 from repro.egraph.extraction.base import ExtractionResult
 from repro.egraph.extraction.greedy import GreedyExtractor
 from repro.egraph.machine import TrieMatcher
@@ -97,11 +97,9 @@ def runner_limits_from_config(config: TensatConfig) -> RunnerLimits:
         iter_limit=config.iter_limit,
         time_limit=config.exploration_time_limit,
         k_multi=config.k_multi,
-        max_multi_combinations=config.max_multi_combinations,
         scheduler=config.scheduler,
         match_limit=config.scheduler_match_limit,
         ban_length=config.scheduler_ban_length,
-        use_delta=config.delta_matching,
     )
 
 
@@ -254,19 +252,16 @@ class OptimizationSession:
     def extract(self) -> ExtractionResult:
         """Extract the cheapest represented graph (exploring first if needed).
 
-        The extractor is built from the :data:`~repro.core.registry.EXTRACTORS`
-        registry entry named by ``config.extraction``.
+        The extractor is built by the :data:`~repro.egraph.extraction.EXTRACTORS`
+        entry named by ``config.extraction``.
         """
         if self.extraction is not None:
             return self.extraction
         if self.report is None:
             self.explore()
         t0 = time.perf_counter()
-        extractor = EXTRACTORS.create(
-            self.config.extraction,
-            node_cost=self.cost_model.extraction_cost_function(),
-            config=self.config,
-            filter_list=self.cycle_filter.filter_list,
+        extractor = EXTRACTORS[self.config.extraction](
+            self.cost_model.extraction_cost_function(), self.config, self.cycle_filter.filter_list
         )
         self._extractor = extractor
         self.extraction = extractor.extract(self.egraph, self.root)
@@ -301,9 +296,8 @@ class OptimizationSession:
             optimized_cost = self.original_cost
             status = f"{status}_regression_guard_original_kept"
 
-        if self.config.validate_output:
-            validate_graph(optimized)
-            check_same_interface(self.graph, optimized)
+        validate_graph(optimized)
+        check_same_interface(self.graph, optimized)
         if self.config.verify_numerically:
             if not outputs_allclose(
                 execute_graph(self.graph), execute_graph(optimized), rtol=1e-4, atol=1e-5

@@ -8,29 +8,21 @@ backend, this package provides:
 
 * :class:`~repro.costs.model.AnalyticCostModel` -- a roofline-style device
   model (FLOPs / memory traffic / kernel launch overhead) parameterised by a
-  :class:`~repro.costs.device.DeviceProfile` (default: T4-like numbers),
-* :class:`~repro.costs.model.TableCostModel` -- explicit per-operator costs
-  for tests,
-* :class:`~repro.costs.measure.MeasuredCostModel` -- actually times each
-  operator with the numpy backend (slow; closest analogue of the paper's
-  measured model).
+  :class:`~repro.costs.device.DeviceProfile` (default: T4-like numbers).
 
-All models share the :class:`~repro.costs.model.CostModel` interface and are
-deterministic, which is what the who-wins comparisons in the benchmarks rely
-on.
+Other models implement the :class:`~repro.costs.model.CostModel` interface
+(one ``op_cost`` method).  The analytic model is deterministic, which is
+what the who-wins comparisons in the benchmarks rely on.
 """
 
 from repro.costs.device import DeviceProfile
 from repro.costs.flops import op_bytes, op_flops
-from repro.costs.model import AnalyticCostModel, CostModel, TableCostModel
-from repro.costs.measure import MeasuredCostModel
+from repro.costs.model import AnalyticCostModel, CostModel
 
 __all__ = [
     "DeviceProfile",
     "CostModel",
     "AnalyticCostModel",
-    "TableCostModel",
-    "MeasuredCostModel",
     "op_flops",
     "op_bytes",
 ]

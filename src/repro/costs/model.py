@@ -9,7 +9,7 @@ children e-classes.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.costs.device import DeviceProfile, T4
 from repro.egraph.egraph import EGraph
@@ -19,7 +19,7 @@ from repro.ir.ops import OpKind
 from repro.ir.opspec import OPS, infer_symbol, op_bytes, op_flops
 from repro.ir.tensor import DataKind, TensorData
 
-__all__ = ["CostModel", "AnalyticCostModel", "TableCostModel", "INVALID_COST"]
+__all__ = ["CostModel", "AnalyticCostModel", "INVALID_COST"]
 
 #: Cost assigned to e-nodes whose operands are shape-invalid; large enough
 #: that extraction never selects them, finite so the ILP stays well-scaled.
@@ -32,8 +32,8 @@ class CostModel:
     ``op_cost`` must be a pure function of its arguments: :meth:`enode_cost`
     computes each ``(symbol, operand facts)`` pair once per model instance
     and serves every later call from its cache.  A model whose costs change
-    while it is in use (say, a :class:`TableCostModel` whose table is edited)
-    needs a fresh instance.
+    while it is in use (say, a per-symbol table that gets edited) needs a
+    fresh instance.
     """
 
     def op_cost(
@@ -149,37 +149,3 @@ class AnalyticCostModel(CostModel):
             if act.kind == DataKind.INT and act.value != 0:
                 seconds += self.device.fused_activation_overhead
         return seconds * 1e3  # milliseconds
-
-
-class TableCostModel(CostModel):
-    """Cost model with explicit per-symbol costs; unknown symbols fall back.
-
-    Useful in unit tests where exact, easily-reasoned-about costs are needed.
-    The table is read-only once the model is in use (e-node costs are
-    cached; see :class:`CostModel`).
-    """
-
-    def __init__(
-        self,
-        table: Dict[str, float],
-        default: float = 0.0,
-        fallback: Optional[CostModel] = None,
-    ) -> None:
-        self.table = dict(table)
-        self.default = default
-        self.fallback = fallback
-
-    def op_cost(
-        self,
-        symbol: str,
-        children: Sequence[TensorData],
-        output: Optional[TensorData] = None,
-    ) -> float:
-        if symbol in self.table:
-            return self.table[symbol]
-        if self.fallback is not None:
-            return self.fallback.op_cost(symbol, children, output)
-        spec = OPS.for_symbol(symbol)
-        if spec is None or not spec.is_compute:
-            return 0.0
-        return self.default

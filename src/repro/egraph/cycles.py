@@ -46,18 +46,25 @@ __all__ = [
     "CycleFilter",
     "VanillaCycleFilter",
     "EfficientCycleFilter",
+    "NoCycleFilter",
+    "CYCLE_FILTERS",
+    "make_cycle_filter",
 ]
 
 
 class FilterList:
     """Set of e-nodes considered removed from the e-graph.
 
-    Nodes are stored canonicalized against the current union-find; membership
-    checks re-canonicalise so the list stays valid across unions.
+    Nodes are stored canonicalized against the union-find as of the last
+    :meth:`refresh`.  Canonical forms change only when e-classes merge, so
+    a membership check re-canonicalises the entries only when
+    ``egraph.num_unions`` moved since then; otherwise it is one set lookup.
     """
 
     def __init__(self) -> None:
         self._nodes: Set[ENode] = set()
+        #: ``(e-graph, num_unions)`` the entries were last canonicalised under.
+        self._stamp: Optional[tuple] = None
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -71,24 +78,21 @@ class FilterList:
     def contains(self, egraph: EGraph, enode: ENode) -> bool:
         if not self._nodes:
             return False
-        canonical = egraph.canonicalize(enode)
-        if canonical in self._nodes:
-            return True
-        # Entries may have been inserted before later unions; re-canonicalise lazily.
-        stale = {n for n in self._nodes if egraph.canonicalize(n) == canonical}
-        if stale:
-            self._nodes -= stale
-            self._nodes.add(canonical)
-            return True
-        return False
+        return egraph.canonicalize(enode) in self._current(egraph)
 
     def refresh(self, egraph: EGraph) -> None:
-        """Re-canonicalise all entries (cheap; called once per iteration)."""
+        """Re-canonicalise all entries against the current union-find."""
         self._nodes = {egraph.canonicalize(n) for n in self._nodes}
+        self._stamp = (egraph, egraph.num_unions)
 
     def as_set(self, egraph: EGraph) -> FrozenSet[ENode]:
-        self.refresh(egraph)
-        return frozenset(self._nodes)
+        return frozenset(self._current(egraph))
+
+    def _current(self, egraph: EGraph) -> Set[ENode]:
+        """The entries, refreshed first if a union happened since the last refresh."""
+        if self._stamp != (egraph, egraph.num_unions):
+            self.refresh(egraph)
+        return self._nodes
 
 
 # ---------------------------------------------------------------------- #
@@ -414,3 +418,20 @@ def _postprocess(egraph: EGraph, filter_list: FilterList) -> int:
             # Every cycle already held a filtered e-node: nothing to break.
             return total
         total += resolved
+
+
+#: Cycle-filter name -> class, in CLI order; the first is the
+#: ``TensatConfig`` default.
+CYCLE_FILTERS = {
+    "efficient": EfficientCycleFilter,
+    "vanilla": VanillaCycleFilter,
+    "none": NoCycleFilter,
+}
+
+
+def make_cycle_filter(kind: str) -> CycleFilter:
+    """A fresh cycle filter of the kind :data:`CYCLE_FILTERS` names."""
+    kind = kind.lower()
+    if kind not in CYCLE_FILTERS:
+        raise ValueError(f"unknown cycle filter {kind!r}; available: {', '.join(CYCLE_FILTERS)}")
+    return CYCLE_FILTERS[kind]()

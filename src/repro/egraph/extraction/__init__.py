@@ -22,6 +22,7 @@ from repro.egraph.extraction.ilp import ILPExtractor
 from repro.egraph.extraction.problem import ReductionStats, build_extraction_problem
 
 __all__ = [
+    "EXTRACTORS",
     "ExtractionResult",
     "Extractor",
     "GreedyExtractor",
@@ -29,3 +30,25 @@ __all__ = [
     "ReductionStats",
     "build_extraction_problem",
 ]
+
+
+def _make_ilp_extractor(node_cost, config, filter_list):
+    return ILPExtractor(
+        node_cost,
+        with_cycle_constraints=config.ilp_cycle_constraints,
+        filter_list=filter_list,
+        time_limit=config.ilp_time_limit,
+        mip_rel_gap=config.ilp_mip_gap,
+    )
+
+
+def _make_greedy_extractor(node_cost, config, filter_list):
+    return GreedyExtractor(node_cost, filter_list=filter_list)
+
+
+#: Extractor name -> ``factory(node_cost, config, filter_list)``, in CLI
+#: order; the first is the ``TensatConfig`` default.
+EXTRACTORS = {
+    "ilp": _make_ilp_extractor,
+    "greedy": _make_greedy_extractor,
+}

@@ -16,8 +16,7 @@ e-classes every selection must cover are forced (``reduce_problem``, default
 on; :func:`~repro.egraph.extraction.problem.build_extraction_problem`).  With
 them forced, HiGHS proves the optimum at or near the root node.  When HiGHS
 stops without a solution, the greedy extractor's answer is returned with
-status ``'ilp_<status>_greedy_fallback'`` (``fallback_to_greedy``, default
-on; see ``docs/extraction.md``).
+status ``'ilp_<status>_greedy_fallback'`` (see ``docs/extraction.md``).
 """
 
 from __future__ import annotations
@@ -72,11 +71,9 @@ class ILPExtractor(Extractor):
     filter_list:
         E-nodes excluded by cycle filtering (forced to ``x_i = 0``).
     time_limit:
-        Solver wall-clock limit in seconds (paper: 3600).
-    fallback_to_greedy:
-        When the solver returns no solution (time limit, infeasible), fall
-        back to greedy extraction instead of raising, so end-to-end
-        optimization always returns a graph.
+        Solver wall-clock limit in seconds (paper: 3600).  When the solver
+        returns no solution (time limit, infeasible), greedy extraction
+        answers instead, so end-to-end optimization always returns a graph.
     mip_rel_gap:
         Relative optimality gap passed to the MIP solver; 0 demands a proven
         optimum, small positive values trade a bounded amount of optimality
@@ -94,7 +91,6 @@ class ILPExtractor(Extractor):
         integer_topo: bool = False,
         filter_list: Optional[FilterList] = None,
         time_limit: float = 3600.0,
-        fallback_to_greedy: bool = True,
         mip_rel_gap: float = 0.0,
         reduce_problem: bool = True,
     ) -> None:
@@ -103,7 +99,6 @@ class ILPExtractor(Extractor):
         self.integer_topo = integer_topo
         self.filter_list = filter_list
         self.time_limit = time_limit
-        self.fallback_to_greedy = fallback_to_greedy
         self.mip_rel_gap = mip_rel_gap
         self.reduce_problem = reduce_problem
         self.last_solve_info: Optional[ILPSolveInfo] = None
@@ -181,15 +176,13 @@ class ILPExtractor(Extractor):
         )
 
         if x is None:
-            if self.fallback_to_greedy:
-                greedy = GreedyExtractor(self.node_cost, filter_list=self.filter_list)
-                result = greedy.extract(egraph, root)
-                result.status = f"ilp_{status}_greedy_fallback"
-                result.solve_seconds = solve_seconds + result.solve_seconds
-                result.stages = {**stages, **result.stages}
-                result.reduction = reduction
-                return result
-            raise RuntimeError(f"ILP extraction failed: solver status {status!r}")
+            greedy = GreedyExtractor(self.node_cost, filter_list=self.filter_list)
+            result = greedy.extract(egraph, root)
+            result.status = f"ilp_{status}_greedy_fallback"
+            result.solve_seconds = solve_seconds + result.solve_seconds
+            result.stages = {**stages, **result.stages}
+            result.reduction = reduction
+            return result
 
         choices = self._choices_from_solution(egraph, problem, x)
         expr = build_recexpr(egraph, root, choices)

@@ -24,9 +24,8 @@ Step 3 is :meth:`MultiPatternRewrite.combine`, an indexed equi-join on the
 shared-variable tuple: hash the smaller side, probe with the larger, and
 chain joins in ascending match-count order for rules with three or more
 sources.  Its output list is identical to paper Algorithm 1's Cartesian
-product + filter (same combinations, same order, same ``max_combinations``
-truncation) -- the product is kept as a test oracle -- it just never
-materialises the quadratic product.  ``docs/multipattern.md`` works through
+product + filter (same combinations, same order) -- the product is kept as
+a test oracle -- it just never materialises the quadratic product.  ``docs/multipattern.md`` works through
 the algorithm and the order-parity argument.
 """
 
@@ -148,13 +147,11 @@ class MultiPatternRewrite:
         self,
         egraph: EGraph,
         per_source_matches: Sequence[Sequence[Match]],
-        max_combinations: Optional[int] = None,
     ) -> List[MultiMatch]:
         """Combine the per-source match lists into compatible :class:`MultiMatch` es.
 
         An indexed equi-join.  Its list is identical -- same combinations,
-        same order, same ``max_combinations`` truncation -- to paper
-        Algorithm 1's Cartesian product + filter; ``tests/test_multipattern.py``
+        same order -- to paper Algorithm 1's Cartesian product + filter; ``tests/test_multipattern.py``
         property-tests the equivalence against that oracle.
 
         Sources join in ascending match-count order.  Each step equi-joins
@@ -167,41 +164,12 @@ class MultiPatternRewrite:
 
         Order parity: every surviving combination is tagged with its index
         tuple into the per-source lists; sorting by that tuple reproduces the
-        product's lexicographic enumeration order, and a combination survives
-        a ``max_combinations`` cap iff its product *rank* (its position in
-        that enumeration, counting incompatible combinations too) is within
-        the cap -- the same prefix the product loop would have enumerated
-        before breaking.
-
-        The cap also *bounds the join's work*, as it bounds the product
-        loop's: a combination's rank is at least ``index * weight`` for every
-        source, so each source list is truncated to the indices that can
-        still make the cap before joining, and partial combinations whose
-        accumulated minimum rank already reaches the cap are pruned at every
-        join step.  Neither prune changes the surviving set (the final exact
-        rank filter still runs); they keep a tight cap cheap even when the
-        sources share no variables and the join degenerates to a product.
+        product's lexicographic enumeration order.
         """
         k = len(per_source_matches)
         sizes = [len(matches) for matches in per_source_matches]
         if 0 in sizes:
             return []
-
-        # Lexicographic rank weights of an index tuple in the full product.
-        weights = [1] * k
-        for j in range(k - 2, -1, -1):
-            weights[j] = weights[j + 1] * sizes[j + 1]
-
-        if max_combinations is not None:
-            if max_combinations <= 0:
-                return []
-            # rank >= index_j * weights[j]: indices past the cap can never
-            # survive, so drop them before they enter the join.
-            per_source_matches = [
-                matches[: (max_combinations - 1) // weights[j] + 1]
-                for j, matches in enumerate(per_source_matches)
-            ]
-            sizes = [len(matches) for matches in per_source_matches]
 
         # Ascending selectivity: start from the smallest match list so the
         # intermediate partial-combination sets stay as small as possible.
@@ -240,30 +208,17 @@ class MultiPatternRewrite:
                         merged.update(m.subst)
                         merged_partials.append((merged, idxs + (i,)))
             joined_order.append(j)
-            if max_combinations is not None and merged_partials:
-                # A partial's rank can only grow as later sources join, so
-                # one already at the cap can be pruned without a final check.
-                joined_weights = [weights[pos] for pos in joined_order]
-                merged_partials = [
-                    (subst, idxs)
-                    for subst, idxs in merged_partials
-                    if sum(i * w for i, w in zip(idxs, joined_weights)) < max_combinations
-                ]
             partials = merged_partials
             if not partials:
                 return []
             bound_vars.update(self.source_variables[j])
 
-        # Restore product order (and the product's truncation semantics).
+        # Restore product order.
         keyed: List[Tuple[Tuple[int, ...], Dict[str, int]]] = []
         for subst, idxs in partials:
             positions = [0] * k
             for i, j in zip(idxs, joined_order):
                 positions[j] = i
-            if max_combinations is not None:
-                rank = sum(positions[j] * weights[j] for j in range(k))
-                if rank >= max_combinations:
-                    continue
             keyed.append((tuple(positions), subst))
         keyed.sort(key=lambda entry: entry[0])
 
@@ -279,10 +234,10 @@ class MultiPatternRewrite:
             combos.append(multi)
         return combos
 
-    def search(self, egraph: EGraph, max_combinations: Optional[int] = None) -> List[MultiMatch]:
+    def search(self, egraph: EGraph) -> List[MultiMatch]:
         """Stand-alone search (used by tests); the runner goes through :class:`MultiPatternSearcher`."""
         per_source = [search_pattern(egraph, p) for p in self.sources]
-        return self.combine(egraph, per_source, max_combinations)
+        return self.combine(egraph, per_source)
 
     # ------------------------------------------------------------------ #
     # Application
@@ -373,7 +328,6 @@ class MultiPatternSearcher:
         self,
         egraph: EGraph,
         canonical_matches: Dict[str, List[Match]],
-        max_combinations: Optional[int] = None,
     ) -> List[Tuple[MultiPatternRewrite, List[MultiMatch]]]:
         """Decanonicalize and combine per rule, as :meth:`MultiPatternRewrite.combine`.
 
@@ -390,11 +344,9 @@ class MultiPatternSearcher:
                     for m in canonical_matches[key]
                 ]
                 per_source.append(decanonicalized)
-            results.append((rule, rule.combine(egraph, per_source, max_combinations)))
+            results.append((rule, rule.combine(egraph, per_source)))
         return results
 
-    def search(
-        self, egraph: EGraph, max_combinations: Optional[int] = None
-    ) -> List[Tuple[MultiPatternRewrite, List[MultiMatch]]]:
+    def search(self, egraph: EGraph) -> List[Tuple[MultiPatternRewrite, List[MultiMatch]]]:
         """One iteration's worth of matches for every rule (search + combine)."""
-        return self.combine_matches(egraph, self.search_canonical(egraph), max_combinations)
+        return self.combine_matches(egraph, self.search_canonical(egraph))

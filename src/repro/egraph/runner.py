@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.egraph.applier import ApplyPlan
-from repro.egraph.cycles import CycleFilter, FilterList, NoCycleFilter
+from repro.egraph.cycles import CycleFilter, FilterList, NoCycleFilter, make_cycle_filter
 from repro.egraph.egraph import EGraph
 from repro.egraph.machine import TrieMatcher
 from repro.egraph.multipattern import MultiPatternRewrite, MultiPatternSearcher
@@ -149,6 +149,13 @@ class RunnerReport:
         }
 
 
+#: Each iteration's search is seeded from the e-classes the previous one
+#: dirtied, unless they are more than this fraction of all e-classes: then a
+#: union cascade touched most of the e-graph and the full search is cheaper
+#: than the closure walk.  Iteration 0 always searches the full e-graph.
+DELTA_FULL_FRACTION = 0.5
+
+
 @dataclass
 class RunnerLimits:
     """Exploration limits (paper Section 6.1 defaults)."""
@@ -157,9 +164,6 @@ class RunnerLimits:
     iter_limit: int = 15
     time_limit: float = 3600.0
     k_multi: int = 1
-    #: Safety valve on the Cartesian product size per multi-pattern rule per
-    #: iteration; ``None`` reproduces the paper exactly (no cap).
-    max_multi_combinations: Optional[int] = None
     #: Rule scheduling: "simple" applies every rule every iteration (the
     #: paper's behaviour); "backoff" temporarily bans single-pattern rules
     #: whose match count explodes, like egg's default BackoffScheduler.
@@ -168,22 +172,6 @@ class RunnerLimits:
     match_limit: int = 1_000
     #: Backoff scheduler: base ban length in iterations (doubles per offence).
     ban_length: int = 5
-    #: Seed each iteration's search from the e-classes dirtied by the previous
-    #: one.  Iteration 0 always searches the full e-graph.
-    use_delta: bool = True
-    #: Fall back to a full search when the delta covers more than this
-    #: fraction of all e-classes (a large union cascade touched everything, so
-    #: the closure walk would cost more than it saves).
-    delta_full_fraction: float = 0.5
-
-
-def make_cycle_filter(kind: str) -> CycleFilter:
-    """Factory for the cycle-filtering strategies, backed by the
-    :data:`~repro.core.registry.CYCLE_FILTERS` registry (``"efficient"``,
-    ``"vanilla"``, ``"none"``, plus anything third parties register)."""
-    from repro.core.registry import CYCLE_FILTERS
-
-    return CYCLE_FILTERS.create(kind.lower())
 
 
 def collect_trie_patterns(
@@ -271,7 +259,7 @@ class Runner:
         if patterns:
             self._trie_matcher = trie_matcher if trie_matcher is not None else TrieMatcher(patterns)
         # E-classes dirtied by the previous iteration; None forces a full
-        # search (iteration 0, or delta matching disabled).
+        # search (iteration 0).
         self._delta: Optional[Set[int]] = None
         # Stepping state: iteration reports so far, accumulated in-step time
         # (the budget the time limit is charged against -- wall-clock pauses
@@ -389,8 +377,8 @@ class Runner:
         unions_before = self.egraph.num_unions
         enodes_before = self.egraph.num_enodes
 
-        delta = self._delta if self.limits.use_delta else None
-        if delta is not None and len(delta) > self.limits.delta_full_fraction * max(1, self.egraph.num_eclasses):
+        delta = self._delta
+        if delta is not None and len(delta) > DELTA_FULL_FRACTION * max(1, self.egraph.num_eclasses):
             # A union cascade touched most of the e-graph; the closure walk
             # would cost more than the full search it is meant to avoid.
             delta = None
@@ -419,9 +407,7 @@ class Runner:
                 for offset, key in enumerate(self._multi_keys)
             }
             t_join = time.perf_counter()
-            multi_matches = self._multi_searcher.combine_matches(
-                self.egraph, canonical_matches, self.limits.max_multi_combinations
-            )
+            multi_matches = self._multi_searcher.combine_matches(self.egraph, canonical_matches)
             report.multi_join_seconds = time.perf_counter() - t_join
 
         # One ordered match list per rule; None marks a banned (unsearched) rule.
@@ -473,8 +459,7 @@ class Runner:
 
         # Everything dirtied during this iteration (rule applications, repairs,
         # cycle resolution) seeds the next iteration's search.
-        dirty = self.egraph.take_dirty()
-        self._delta = dirty if self.limits.use_delta else None
+        self._delta = self.egraph.take_dirty()
 
         # Saturation detection: nothing applied, or nothing actually changed.
         # A banned rule might still have work to do, so an iteration with bans

@@ -93,21 +93,21 @@ class BackoffScheduler(Scheduler):
         return True
 
 
-#: Legacy snapshot of the built-in scheduler names; the live list (including
-#: third-party registrations) is ``repro.core.registry.SCHEDULERS.names()``.
-SCHEDULERS = ("simple", "backoff")
+#: Scheduler name -> ``factory(match_limit, ban_length)``, in CLI order; the
+#: first is the ``TensatConfig`` default.
+SCHEDULERS = {
+    "simple": lambda match_limit, ban_length: SimpleScheduler(),
+    "backoff": BackoffScheduler,
+}
 
 
 def make_scheduler(kind: str, match_limit: int = 1_000, ban_length: int = 5) -> Scheduler:
-    """Factory mirroring :func:`~repro.egraph.runner.make_cycle_filter`.
+    """The scheduler :data:`SCHEDULERS` names ``kind``.
 
-    ``kind`` names an entry of the :data:`repro.core.registry.SCHEDULERS`
-    registry (built-ins: ``"simple"`` and ``"backoff"``; the ``match_limit``
-    / ``ban_length`` budgets only apply to backoff -- factories receive both
-    and ignore what they do not use).  Raises :class:`ValueError` on an
-    unregistered name, so configuration typos surface at runner
-    construction, not mid-exploration.
+    The ``match_limit`` / ``ban_length`` budgets only apply to backoff.
+    Raises :class:`ValueError` on an unknown name, so configuration typos
+    surface at runner construction, not mid-exploration.
     """
-    from repro.core.registry import SCHEDULERS as registry
-
-    return registry.create(kind, match_limit=match_limit, ban_length=ban_length)
+    if kind not in SCHEDULERS:
+        raise ValueError(f"unknown scheduler {kind!r}; available: {', '.join(SCHEDULERS)}")
+    return SCHEDULERS[kind](match_limit, ban_length)

@@ -4,8 +4,7 @@ Before this module existed, the paper's Table 2 was smeared across three
 independent per-symbol dispatch chains -- shape inference in
 ``ir/shapes.py``, FLOP/byte accounting in ``costs/flops.py``, and the
 e-graph symbol mapping in ``ir/ops.py`` -- so adding an operator meant
-editing N files in lockstep.  Following the component-registry pattern of
-:mod:`repro.core.registry`, an :class:`OpSpec` collapses all of that
+editing N files in lockstep.  An :class:`OpSpec` collapses all of that
 knowledge into one record and the :data:`OPS` registry is the single source
 of truth consulted by:
 

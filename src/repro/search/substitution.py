@@ -1,8 +1,8 @@
 """Pattern matching and substitution application on *concrete* graphs.
 
-The sequential baselines (TASO-style backtracking, sampling) do not use an
-e-graph: they repeatedly pick one rewrite-rule match on the current graph and
-apply it destructively, producing a new graph.  This module provides that
+The sequential baseline (TASO-style backtracking) does not use an
+e-graph: it repeatedly picks one rewrite-rule match on the current graph and
+applies it destructively, producing a new graph.  This module provides that
 machinery, reusing the same :class:`~repro.egraph.pattern.Pattern` objects and
 rule conditions as the equality-saturation path so both searches explore the
 same substitution space.

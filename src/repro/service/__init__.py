@@ -1,10 +1,10 @@
 """The optimization service: a long-lived daemon with a result cache.
 
 The service keeps the expensive per-process state -- the compiled rule trie,
-the component registries, the rule set -- resident across requests, and
-answers repeat submissions of *isomorphic* graphs straight from a bounded
-LRU cache keyed on a canonical graph fingerprint plus a configuration
-digest (see ``docs/service.md``).
+the cost model, the rule set -- resident across requests, and answers
+repeat submissions of *isomorphic* graphs straight from a bounded LRU cache
+keyed on a canonical graph fingerprint plus a configuration digest (see
+``docs/service.md``).
 
 * :mod:`repro.service.fingerprint` -- canonical, isomorphism-invariant
   graph fingerprints (:func:`graph_fingerprint`) and config digests.

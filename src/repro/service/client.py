@@ -30,9 +30,9 @@ def parse_overrides(pairs: Iterable[str]) -> Dict[str, object]:
     """Parse CLI ``KEY=VALUE`` override strings into a config-override dict.
 
     Values are decoded leniently (int, float, true/false, none, else string);
-    the server re-coerces and validates against the config dataclass and the
-    component registries, so a bad name or value comes back as a typed
-    ``config`` error naming the problem.
+    the server re-coerces and validates against the config dataclass and its
+    name tables, so a bad name or value (``none`` included) comes back as a
+    typed ``config`` error naming the problem.
     """
     overrides: Dict[str, object] = {}
     for pair in pairs:

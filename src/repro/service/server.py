@@ -98,8 +98,8 @@ class RequestError(Exception):
 
 def _coerce_override(name: str, value: object, reference: object) -> object:
     """Coerce a JSON / CLI override value to the config field's type."""
-    if value is None or reference is None:
-        return value
+    if value is None:
+        raise RequestError("config", f"config field {name!r} must not be null")
     if isinstance(reference, bool):
         if isinstance(value, bool):
             return value
@@ -187,8 +187,9 @@ class OptimizationService:
 
         Field names are validated against the :class:`TensatConfig`
         dataclass, values are coerced to the field types, and construction
-        re-runs the registry validation -- an unknown field or an unknown
-        extractor / scheduler name fails here with a ``config`` error.
+        re-runs the name-table validation -- an unknown field, a null value
+        or an unknown extractor / scheduler name fails here with a
+        ``config`` error.
         """
         if overrides is None:
             return self.base_config

@@ -4,19 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.costs import AnalyticCostModel, TableCostModel
+from repro.costs import AnalyticCostModel
 from repro.ir.graph import GraphBuilder
 
 
 @pytest.fixture
 def analytic_cost_model():
     return AnalyticCostModel()
-
-
-@pytest.fixture
-def unit_cost_model():
-    """Every compute node costs 1; parameter/identifier nodes cost 0."""
-    return TableCostModel({}, default=1.0)
 
 
 @pytest.fixture

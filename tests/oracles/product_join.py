@@ -4,8 +4,7 @@ Enumerate the full Cartesian product of the per-source match lists, keep
 the combinations whose shared variables bind the same e-class, and filter
 them through the rule's condition.  ``MultiPatternRewrite.combine`` (an
 indexed hash join) must return the identical list -- same combinations,
-same order, same ``max_combinations`` truncation
-(``tests/test_multipattern.py``).
+same order (``tests/test_multipattern.py``).
 """
 
 from __future__ import annotations
@@ -36,15 +35,10 @@ def combine_product(
     rule: MultiPatternRewrite,
     egraph: EGraph,
     per_source_matches: Sequence[Sequence[Match]],
-    max_combinations: Optional[int] = None,
 ) -> List[MultiMatch]:
     """Cartesian-product the per-source matches and keep compatible ones."""
     combos: List[MultiMatch] = []
-    count = 0
     for combination in itertools.product(*per_source_matches):
-        count += 1
-        if max_combinations is not None and count > max_combinations:
-            break
         if rule.skip_identical and len(combination) > 1:
             if len({m.eclass for m in combination}) == 1:
                 continue

@@ -1,13 +1,11 @@
-"""Tests for the TASO-style backtracking baseline and the sampling baseline."""
-
-import pytest
+"""Tests for the TASO-style backtracking baseline."""
 
 from repro.backend import execute_graph, outputs_allclose
 from repro.costs import AnalyticCostModel
 from repro.ir.graph import GraphBuilder
 from repro.ir.validate import check_same_interface, validate_graph
 from repro.rules import default_ruleset
-from repro.search import BacktrackingSearch, SamplingSearch
+from repro.search import BacktrackingSearch
 
 
 def shared_matmul_graph():
@@ -78,23 +76,3 @@ class TestBacktrackingSearch:
         result = BacktrackingSearch(cm, budget=5, time_limit=60).optimize(g)
         assert result.optimized_cost <= result.original_cost + 1e-12
 
-
-class TestSamplingSearch:
-    def test_improves_shared_matmuls(self):
-        cm = AnalyticCostModel()
-        g = shared_matmul_graph()
-        result = SamplingSearch(cm, walks=2, steps_per_walk=5, seed=0).optimize(g)
-        assert result.optimized_cost <= result.original_cost
-        assert outputs_allclose(execute_graph(g), execute_graph(result.optimized))
-
-    def test_deterministic_given_seed(self):
-        cm = AnalyticCostModel()
-        g = fused_chain_graph()
-        r1 = SamplingSearch(cm, walks=2, steps_per_walk=4, seed=7).optimize(g)
-        r2 = SamplingSearch(cm, walks=2, steps_per_walk=4, seed=7).optimize(g)
-        assert r1.optimized_cost == pytest.approx(r2.optimized_cost)
-
-    def test_speedup_property(self):
-        cm = AnalyticCostModel()
-        result = SamplingSearch(cm, walks=1, steps_per_walk=3).optimize(shared_matmul_graph())
-        assert result.speedup_percent >= 0

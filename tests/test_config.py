@@ -1,5 +1,7 @@
 """Tests for TensatConfig and OptimizationStats."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core import OptimizationStats, TensatConfig
@@ -53,12 +55,24 @@ class TestTensatConfig:
                         "shape_analysis", "search_jobs", "search_executor"):
             with pytest.raises(TypeError):
                 TensatConfig(**{removed: None})
+        # Knobs no caller set to anything but their default are not fields.
+        for removed in ("max_multi_combinations", "delta_matching", "extraction_prune",
+                        "ilp_integer_topo", "ilp_fallback_to_greedy", "validate_output"):
+            with pytest.raises(TypeError):
+                TensatConfig(**{removed: None})
+
+    def test_fields(self):
+        assert [f.name for f in fields(TensatConfig)] == [
+            "node_limit", "iter_limit", "k_multi", "exploration_time_limit",
+            "scheduler", "scheduler_match_limit", "scheduler_ban_length",
+            "cycle_filter", "extraction", "ilp_cycle_constraints", "ilp_time_limit",
+            "ilp_mip_gap", "verify_numerically",
+        ]
 
     def test_engine_defaults(self):
         cfg = TensatConfig()
         assert cfg.scheduler == "simple"
         assert cfg.cycle_filter == "efficient"
-        assert cfg.delta_matching
 
     def test_nonpositive_limits_rejected(self):
         with pytest.raises(ValueError):

@@ -3,9 +3,10 @@
 import pickle
 
 import pytest
+from table_cost import TableCostModel
 
 from repro.backend.runtime import measure_graph_runtime, speedup_percent
-from repro.costs import AnalyticCostModel, DeviceProfile, MeasuredCostModel, TableCostModel
+from repro.costs import AnalyticCostModel, DeviceProfile
 from repro.costs.device import CPU_REFERENCE, T4
 from repro.costs.flops import op_bytes, op_flops
 from repro.core.config import TensatConfig
@@ -128,22 +129,6 @@ class TestTableCostModel:
         cm = TableCostModel({"relu": 9.0}, fallback=AnalyticCostModel())
         assert cm.op_cost("relu", [T(2, 2)]) == 9.0
         assert cm.op_cost("matmul", [I(0), T(4, 8), T(8, 16)]) > 0
-
-
-class TestMeasuredCostModel:
-    def test_measures_and_caches(self):
-        cm = MeasuredCostModel(repeats=1, warmup=0)
-        children = [I(0), T(16, 32), T(32, 64)]
-        first = cm.op_cost("matmul", children)
-        second = cm.op_cost("matmul", children)
-        assert first > 0
-        assert first == second  # cache hit returns the identical value
-
-    def test_ranks_sizes_consistently(self):
-        cm = MeasuredCostModel(repeats=1, warmup=0)
-        small = cm.op_cost("matmul", [I(0), T(8, 16), T(16, 16)])
-        big = cm.op_cost("matmul", [I(0), T(128, 256), T(256, 256)])
-        assert big > small
 
 
 class TestRuntimeSimulation:

@@ -10,9 +10,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from table_cost import TableCostModel
 
 from repro.core.config import TensatConfig
-from repro.costs import AnalyticCostModel, TableCostModel
+from repro.costs import AnalyticCostModel
 from repro.ir.graph import GraphBuilder
 from repro.models import MODEL_NAMES, build_model
 from repro.rules import default_ruleset

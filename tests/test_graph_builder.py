@@ -1,8 +1,8 @@
 """Tests for GraphBuilder and TensorGraph."""
 
 import pytest
+from table_cost import TableCostModel
 
-from repro.costs import TableCostModel
 from repro.ir.graph import GraphBuilder
 from repro.ir.ops import Activation, OpKind, Padding
 from repro.ir.tensor import ShapeError

@@ -21,6 +21,7 @@ from oracles.shape_spec import targets_valid_spec
 
 from repro.core.config import TensatConfig
 from repro.core.session import OptimizationSession
+from repro.egraph.machine import TrieMatcher
 from repro.egraph.multipattern import MultiPatternRewrite, MultiPatternSearcher
 from repro.egraph.runner import collect_trie_patterns
 from repro.models import build_model
@@ -137,10 +138,21 @@ def test_birth_stamps_bit_identical_across_search_paths(model):
     assert birth_map() == birth_map(_naive_matcher())
 
 
+class _FullSearchTrie(TrieMatcher):
+    """The production trie, but every iteration searches the whole e-graph."""
+
+    def search_all(self, egraph, delta=None, skip=()):
+        return super().search_all(egraph, None, skip)
+
+
 @pytest.mark.slow
 def test_delta_matching_off_matches_delta_on():
-    """Disabling delta seeding must not change the trajectory either."""
+    """Searching the full e-graph every iteration must not change the trajectory."""
+    rules = default_ruleset()
+    patterns, _keys = collect_trie_patterns(
+        rules.rewrites, MultiPatternSearcher(rules.multi_rewrites)
+    )
     overrides = dict(extraction="greedy")
-    assert _golden_record("nasrnn", dict(overrides, delta_matching=True)) == _golden_record(
-        "nasrnn", dict(overrides, delta_matching=False)
+    assert _golden_record("nasrnn", overrides) == _golden_record(
+        "nasrnn", overrides, matcher=_FullSearchTrie(patterns)
     )

@@ -1,78 +1,43 @@
-"""Component-registry tests: the one source of truth for pluggable strategies.
+"""Name-table tests: each strategy knob names an entry of one plain table.
 
-Covers the :class:`~repro.core.registry.Registry` mechanics, the built-in
-entries, the derivation of config validation and CLI choices from the
-registries, and end-to-end registration of third-party components without
-editing the driver.
+``SCHEDULERS`` (``repro.egraph.scheduler``), ``EXTRACTORS``
+(``repro.egraph.extraction``) and ``CYCLE_FILTERS`` (``repro.egraph.cycles``)
+map names to factories.  Config validation and the CLI's ``choices=`` derive
+from them, and an unknown name fails with the available names listed.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import TensatConfig, optimize
+from repro import TensatConfig
 from repro.cli import build_parser
-from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, Registry, SCHEDULERS
-from repro.egraph.extraction.greedy import GreedyExtractor
-from repro.egraph.scheduler import SimpleScheduler
-
-FAST = TensatConfig.fast()
+from repro.egraph.cycles import CYCLE_FILTERS, make_cycle_filter
+from repro.egraph.extraction import EXTRACTORS, GreedyExtractor, ILPExtractor
+from repro.egraph.scheduler import SCHEDULERS, make_scheduler
 
 
 class TestRegistryMechanics:
-    def test_register_get_create_names(self):
-        reg = Registry("widget")
-        reg.register("a", lambda **kw: ("a", kw))
-        reg.register("b", lambda **kw: ("b", kw))
-        assert reg.names() == ("a", "b")
-        assert "a" in reg and "c" not in reg
-        assert len(reg) == 2 and list(reg) == ["a", "b"]
-        assert reg.create("b", x=1) == ("b", {"x": 1})
-
-    def test_decorator_registration(self):
-        reg = Registry("widget")
-
-        @reg.register("decorated")
-        def factory():
-            return 42
-
-        assert reg.get("decorated") is factory
-
     def test_unknown_name_error_lists_available(self):
-        reg = Registry("widget")
-        reg.register("only", object())
-        with pytest.raises(ValueError, match=r"unknown widget 'nope'; available: only"):
-            reg.get("nope")
-        with pytest.raises(ValueError, match="available"):
-            reg.check("nope")
-        with pytest.raises(ValueError):
-            reg.unregister("nope")
-
-    def test_duplicate_registration_rejected(self):
-        reg = Registry("widget")
-        reg.register("taken", object())
-        with pytest.raises(ValueError, match="already registered"):
-            reg.register("taken", object())
-
-    def test_unregister(self):
-        reg = Registry("widget")
-        reg.register("gone", object())
-        reg.unregister("gone")
-        assert "gone" not in reg
-        reg.register("gone", object())  # name is reusable afterwards
-
-    def test_create_rejects_non_callable_entry(self):
-        reg = Registry("mode")
-        reg.register("descriptor", "just a description")
-        with pytest.raises(TypeError):
-            reg.create("descriptor")
+        with pytest.raises(ValueError, match=r"unknown scheduler 'nope'; available: simple, backoff"):
+            make_scheduler("nope")
+        with pytest.raises(ValueError, match=r"unknown cycle filter 'nope'; available: efficient, vanilla, none"):
+            make_cycle_filter("nope")
 
 
 class TestBuiltinEntries:
     def test_builtin_names(self):
-        assert SCHEDULERS.names() == ("simple", "backoff")
-        assert EXTRACTORS.names() == ("ilp", "greedy")
-        assert CYCLE_FILTERS.names() == ("efficient", "vanilla", "none")
+        assert tuple(SCHEDULERS) == ("simple", "backoff")
+        assert tuple(EXTRACTORS) == ("ilp", "greedy")
+        assert tuple(CYCLE_FILTERS) == ("efficient", "vanilla", "none")
+
+    def test_extractor_factories_read_the_config(self):
+        config = TensatConfig(ilp_cycle_constraints=True, ilp_time_limit=7.0, ilp_mip_gap=0.1)
+        ilp = EXTRACTORS["ilp"](lambda node, egraph: 1.0, config, None)
+        assert isinstance(ilp, ILPExtractor)
+        assert (ilp.with_cycle_constraints, ilp.time_limit, ilp.mip_rel_gap) == (True, 7.0, 0.1)
+        assert (ilp.integer_topo, ilp.reduce_problem) == (False, True)
+        assert isinstance(EXTRACTORS["greedy"](lambda node, egraph: 1.0, config, None), GreedyExtractor)
 
     def test_config_validation_error_lists_choices(self):
         with pytest.raises(ValueError, match="available"):
@@ -88,46 +53,6 @@ class TestBuiltinEntries:
             a for a in parser._actions if hasattr(a, "choices") and "optimize" in (a.choices or {})
         )
         actions = {a.dest: a for a in subparsers.choices["optimize"]._actions}
-        assert tuple(actions["scheduler"].choices) == SCHEDULERS.names()
-        assert tuple(actions["extraction"].choices) == EXTRACTORS.names()
-        assert tuple(actions["cycle_filter"].choices) == CYCLE_FILTERS.names()
-
-
-class TestThirdPartyRegistration:
-    def test_custom_scheduler_plugs_in_via_config(self, shared_matmul_graph):
-        class EagerScheduler(SimpleScheduler):
-            name = "test-eager"
-
-        SCHEDULERS.register("test-eager", lambda match_limit, ban_length: EagerScheduler())
-        try:
-            config = FAST.with_overrides(scheduler="test-eager", extraction="greedy")
-            result = optimize(shared_matmul_graph, config=config)
-            assert result.optimized_cost <= result.original_cost + 1e-9
-            # An identically-behaving scheduler must not change the trajectory.
-            baseline = optimize(
-                shared_matmul_graph, config=FAST.with_overrides(extraction="greedy")
-            )
-            assert result.stats.num_enodes == baseline.stats.num_enodes
-            assert result.optimized_cost == baseline.optimized_cost
-        finally:
-            SCHEDULERS.unregister("test-eager")
-        with pytest.raises(ValueError):
-            TensatConfig(scheduler="test-eager")
-
-    def test_custom_extractor_plugs_in_via_config(self, shared_matmul_graph):
-        created = []
-
-        def make_test_extractor(node_cost, config, filter_list):
-            extractor = GreedyExtractor(node_cost, filter_list=filter_list)
-            created.append(extractor)
-            return extractor
-
-        EXTRACTORS.register("test-greedy", make_test_extractor)
-        try:
-            config = FAST.with_overrides(extraction="test-greedy")
-            result = optimize(shared_matmul_graph, config=config)
-            assert created, "registered factory was never used"
-            baseline = optimize(shared_matmul_graph, config=FAST.with_overrides(extraction="greedy"))
-            assert result.optimized_cost == baseline.optimized_cost
-        finally:
-            EXTRACTORS.unregister("test-greedy")
+        assert tuple(actions["scheduler"].choices) == tuple(SCHEDULERS)
+        assert tuple(actions["extraction"].choices) == tuple(EXTRACTORS)
+        assert tuple(actions["cycle_filter"].choices) == tuple(CYCLE_FILTERS)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from dataclasses import fields as dataclass_fields
 
 import pytest
 
@@ -136,7 +137,7 @@ class TestResolveConfig:
 
     def test_registry_validation_runs(self):
         # Unknown extractor name: must surface as a typed config error from
-        # the registry check, not a raw ConfigError leaking to the transport.
+        # the name-table check, not a raw ConfigError leaking to the transport.
         service = OptimizationService()
         with pytest.raises(RequestError) as info:
             service.resolve_config({"extraction": "quantum"})
@@ -191,6 +192,25 @@ class TestRequestCore:
             {"op": "optimize", "graph": graph_to_doc(small_graph()), "config": {"nope": 1}},
         )
         assert response["ok"] is False and response["error"]["type"] == "config"
+
+    def test_null_override_is_typed_config_error_for_every_field(self):
+        service = OptimizationService()
+        doc = graph_to_doc(small_graph())
+        for field in dataclass_fields(TensatConfig):
+            response = handle(service, {"op": "optimize", "graph": doc, "config": {field.name: None}})
+            assert response["ok"] is False, field.name
+            assert response["error"]["type"] == "config", (field.name, response["error"])
+            assert field.name in response["error"]["message"]
+
+    def test_removed_field_is_unknown_config_field(self):
+        service = OptimizationService()
+        doc = graph_to_doc(small_graph())
+        for name, value in (("max_multi_combinations", 10), ("delta_matching", True),
+                            ("extraction_prune", True), ("ilp_integer_topo", False),
+                            ("ilp_fallback_to_greedy", True), ("validate_output", True)):
+            response = handle(service, {"op": "optimize", "graph": doc, "config": {name: value}})
+            assert response["ok"] is False
+            assert response["error"] == {"type": "config", "message": f"unknown config field {name!r}"}
 
     def test_queue_full_fails_fast(self):
         service = OptimizationService(ServiceConfig(max_concurrency=1, queue_limit=0))

@@ -1,16 +1,13 @@
 #!/usr/bin/env python
 """Fail when the public API surface drifts from its sources of truth.
 
-Five checks:
+Four checks:
 
 1. every name in ``repro.__all__`` actually imports (no stale exports),
-2. every CLI ``choices=`` list for a strategy knob equals the corresponding
-   component registry's names (no hand-maintained tuples),
-3. the extraction lockstep: the CLI default for ``--no-extraction-prune``
-   equals the ``TensatConfig`` field default (the config dataclass is the
-   single source of truth for engine-knob defaults),
-4. the ``serve`` CLI defaults equal the ``ServiceConfig`` field defaults,
-5. the operator-spec registry lockstep: every ``OpKind`` has a complete
+2. every CLI ``choices=`` list for a strategy knob equals the keys of the
+   corresponding name table, in order (no hand-maintained tuples),
+3. the ``serve`` CLI defaults equal the ``ServiceConfig`` field defaults,
+4. the operator-spec registry lockstep: every ``OpKind`` has a complete
    ``OPS`` spec, every registered symbol round-trips through
    ``resolve_symbol``, ``serialize.valid_ops()`` mirrors ``OPS.names()``,
    the ONNX importer's handler table equals the union of every spec's
@@ -35,12 +32,13 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import repro  # noqa: E402
 from repro.cli import build_parser  # noqa: E402
-from repro.core import config as config_module  # noqa: E402
-from repro.core.registry import CYCLE_FILTERS, EXTRACTORS, SCHEDULERS  # noqa: E402
+from repro.egraph.cycles import CYCLE_FILTERS  # noqa: E402
+from repro.egraph.extraction import EXTRACTORS  # noqa: E402
+from repro.egraph.scheduler import SCHEDULERS  # noqa: E402
 from repro.models import MODEL_NAMES  # noqa: E402
 
-#: CLI argument dest -> the registry its choices must equal.
-CLI_REGISTRY_KNOBS = {
+#: CLI argument dest -> the name table its choices must equal.
+CLI_TABLE_KNOBS = {
     "scheduler": SCHEDULERS,
     "extraction": EXTRACTORS,
     "cycle_filter": CYCLE_FILTERS,
@@ -65,7 +63,7 @@ def _subcommand_parsers(parser):
 
 
 def check_cli_choices() -> list:
-    """Every strategy knob's CLI ``choices=`` equals its registry's names."""
+    """Every strategy knob's CLI ``choices=`` equals its name table's keys."""
     problems = []
     subcommands = _subcommand_parsers(build_parser())
     if not subcommands:
@@ -73,43 +71,23 @@ def check_cli_choices() -> list:
     seen = set()
     for command, subparser in subcommands.items():
         for action in subparser._actions:
-            registry = CLI_REGISTRY_KNOBS.get(action.dest)
-            if registry is None:
+            table = CLI_TABLE_KNOBS.get(action.dest)
+            if table is None:
                 continue
             seen.add(action.dest)
             choices = tuple(action.choices or ())
-            if choices != registry.names():
+            if choices != tuple(table):
                 problems.append(
                     f"CLI '{command} --{action.dest.replace('_', '-')}' choices {choices} "
-                    f"!= {registry.kind} registry {registry.names()}"
+                    f"!= {action.dest} name table {tuple(table)}"
                 )
         model_action = next((a for a in subparser._actions if a.dest == "model"), None)
         if model_action is not None and tuple(model_action.choices or ()) != tuple(MODEL_NAMES):
             problems.append(f"CLI '{command} --model' choices drifted from MODEL_NAMES")
-    missing = set(CLI_REGISTRY_KNOBS) - seen
+    missing = set(CLI_TABLE_KNOBS) - seen
     if missing:
-        problems.append(f"no CLI flag exposes the registry-backed knob(s): {sorted(missing)}")
+        problems.append(f"no CLI flag exposes the table-backed knob(s): {sorted(missing)}")
     return problems
-
-
-def check_extraction_lockstep() -> list:
-    """The extraction knobs' CLI defaults equal their config defaults."""
-    defaults = config_module.TensatConfig()
-    subcommands = _subcommand_parsers(build_parser())
-    optimize = subcommands.get("optimize")
-    if optimize is None:
-        return ["CLI has no 'optimize' subcommand"]
-    cli_defaults = {a.dest: a.default for a in optimize._actions}
-    dest = "extraction_prune"
-    config_value = getattr(defaults, dest)
-    if dest not in cli_defaults:
-        return [f"CLI 'optimize' has no flag wired to config.{dest}"]
-    if cli_defaults[dest] != config_value:
-        return [
-            f"CLI 'optimize' default for {dest} is {cli_defaults[dest]!r} "
-            f"!= TensatConfig().{dest} == {config_value!r}"
-        ]
-    return []
 
 
 def check_service_lockstep() -> list:
@@ -195,7 +173,6 @@ def main() -> int:
     problems = (
         check_exports()
         + check_cli_choices()
-        + check_extraction_lockstep()
         + check_service_lockstep()
         + check_ops_lockstep()
     )
@@ -204,12 +181,11 @@ def main() -> int:
             print(problem, file=sys.stderr)
         print(f"\n{len(problems)} API-surface problem(s)", file=sys.stderr)
         return 1
-    n_knobs = len(CLI_REGISTRY_KNOBS)
+    n_knobs = len(CLI_TABLE_KNOBS)
     print(
         f"ok: {len(repro.__all__)} exports import, {n_knobs} CLI strategy knobs "
-        "match their registries, extraction-prune default in lockstep, "
-        "serve flags match "
-        "ServiceConfig, OPS registry / serializer / ONNX importer / CLI in lockstep"
+        "match their name tables, serve flags match ServiceConfig, "
+        "OPS registry / serializer / ONNX importer / CLI in lockstep"
     )
     return 0
 
