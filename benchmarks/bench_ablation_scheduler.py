@@ -1,10 +1,25 @@
-"""Ablation (DESIGN.md): simple versus backoff rule scheduling.
+"""Ablation: simple versus backoff rule scheduling.
 
 Not a paper experiment.  The paper runs every rule every iteration ("simple");
 an egg-style backoff scheduler throttles rules whose match count explodes.
 With the much smaller node budgets this Python reproduction uses, the backoff
 scheduler keeps the node budget for useful rewrites, so it should never lose
 badly and typically shrinks the e-graph at equal-or-better speedup.
+
+Where it matters, measured on bert at ``small`` scale (``tensat_config``,
+seed 1, 2-core host):
+
+* ``simple`` stops at 4,001 e-nodes (``node_limit``).  Greedy extraction
+  cannot improve that e-graph, so the regression guard keeps the original
+  graph at cost 0.13262; the ILP needs its full 60 s limit to reach 0.09391
+  (status ``feasible``).
+* ``backoff`` (``match_limit=100``, ``ban_length=3``) stops at 750 e-nodes
+  after 8 iterations.  Greedy extraction reaches 0.09391, and the ILP proves
+  0.09391 ``optimal`` in about 1 s end to end.
+
+nasrnn and inception at ``small`` scale saturate to the same e-node count
+and the same optimal cost under both schedulers, as do all three models at
+``tiny`` scale.
 """
 
 import pytest

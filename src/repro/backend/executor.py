@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
 from repro.backend.kernels import execute_symbol
 from repro.ir.graph import TensorGraph
 from repro.ir.ops import OpKind
-from repro.ir.tensor import DataKind, TensorData
 
 __all__ = ["Executor", "ExecutionResult", "execute_graph", "random_feeds", "outputs_allclose"]
 

@@ -9,14 +9,13 @@ rewrite rules are verified numerically (:mod:`repro.rules.verify`).
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.ir.ops import Activation, OpKind, Padding, symbol_to_op
 from repro.ir.shapes import same_padding_amount
-from repro.ir.tensor import DataKind, ShapeError, TensorData, parse_identifier
+from repro.ir.tensor import ShapeError, TensorData
 
 __all__ = ["execute_symbol", "apply_activation", "conv2d", "pool2d"]
 

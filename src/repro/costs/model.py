@@ -8,8 +8,7 @@ children e-classes.
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.costs.device import DeviceProfile, T4
 from repro.egraph.egraph import EGraph

@@ -9,8 +9,9 @@ paper builds on top of ``egg`` (Willsey et al., 2020):
   e-class analyses).
 * :mod:`repro.egraph.pattern`      -- patterns with variables, parsed from S-expressions.
 * :mod:`repro.egraph.ematch`       -- e-matching (pattern search over an e-graph).
-* :mod:`repro.egraph.machine`      -- the compiled e-matching virtual machine and
-  incremental (iteration-delta) search; see ``docs/ematching.md``.
+* :mod:`repro.egraph.machine`      -- compiled pattern programs, the shared-prefix rule
+  trie that runs them and incremental (iteration-delta) search; see
+  ``docs/ematching.md``.
 * :mod:`repro.egraph.rewrite`      -- single-pattern rewrite rules.
 * :mod:`repro.egraph.multipattern` -- multi-pattern rewrite rules (paper Algorithm 1).
 * :mod:`repro.egraph.applier`      -- batched apply plans (dedup, bulk add, queued

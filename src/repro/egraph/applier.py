@@ -31,7 +31,7 @@ See ``docs/apply_plan.md`` for the full plan/apply/rebuild story and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.egraph.cycles import CycleFilter, NoCycleFilter
 from repro.egraph.egraph import EGraph

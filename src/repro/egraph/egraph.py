@@ -276,9 +276,6 @@ class EGraph:
                 self._repair_analysis_classes(analysis_todo)
         return self._n_unions - n_before
 
-    def _repair(self, eclass_id: int) -> None:
-        self._repair_classes([eclass_id])
-
     def _repair_classes(self, todo: Sequence[int]) -> None:
         """Batched parent re-canonicalisation for one rebuild wave.
 
@@ -356,9 +353,6 @@ class EGraph:
                 self._n_enodes -= len(eclass.nodes) - len(deduped)
             eclass.nodes = list(deduped.keys())
 
-    def _repair_analysis(self, eclass_id: int) -> None:
-        self._repair_analysis_classes([eclass_id])
-
     def _repair_analysis_classes(self, todo: Sequence[int]) -> None:
         """Batched analysis repair for one rebuild wave.
 
@@ -413,20 +407,6 @@ class EGraph:
         for eclass in self._classes.values():
             for node in eclass.nodes:
                 yield eclass.id, node
-
-    def nodes_by_op(self) -> Dict[str, List[Tuple[int, ENode]]]:
-        """Group canonical e-nodes by operator (used by e-matching)."""
-        table: Dict[str, List[Tuple[int, ENode]]] = {}
-        for op in self._op_classes:
-            entries = [
-                (eclass_id, node)
-                for eclass_id in sorted(self.classes_with_op(op))
-                for node in self._classes[eclass_id].nodes
-                if node.op == op
-            ]
-            if entries:
-                table[op] = entries
-        return table
 
     def classes_with_op(self, op: str) -> Set[int]:
         """Canonical ids of the e-classes containing at least one ``op`` e-node.

@@ -4,21 +4,16 @@ Given a pattern ``l`` (a term with variables) and an e-graph, e-matching finds
 all substitutions ``sigma`` (variable -> e-class) and root e-classes such that
 ``l[sigma]`` is represented by the root e-class (paper Section 2.2).
 
-Two search paths live behind the same contract:
+One engine does the search: the **shared-prefix rule trie**
+(:class:`~repro.egraph.machine.TrieMatcher`), which merges every pattern's
+compiled program into one trie per root operator.  The saturation runner
+matches all its rules with one trie; :func:`search_pattern` and
+:func:`search_eclass` run a one-pattern trie for stand-alone searches.
 
-* the **compiled virtual machine** (:mod:`repro.egraph.machine`), which runs a
-  flat per-pattern instruction program over explicit registers -- this is what
-  :func:`search_pattern` / :func:`search_eclass` use;
-* the **shared-prefix rule trie** (:class:`~repro.egraph.machine.TrieMatcher`),
-  which merges every rule's program into one trie per root operator and
-  matches all rules in a single traversal per op bucket -- the saturation
-  runner's search.
-
-Both return the same canonical match sets in the same deterministic order
-(sorted by root e-class, then bindings).  The original interpretive
-backtracking matcher is kept as a test oracle
-(``tests/oracles/naive_match.py``); the equivalence tests check both paths
-against it.
+Matches come back canonical and in a deterministic order (sorted by root
+e-class, then bindings).  The original interpretive backtracking matcher is
+kept as a test oracle (``tests/oracles/naive_match.py``); the equivalence
+tests check the trie against it.
 """
 
 from __future__ import annotations
@@ -27,6 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.egraph.egraph import EGraph
+from repro.egraph.machine import TrieMatcher, build_rule_trie, match_sort_key, trie_search_classes
 from repro.egraph.pattern import Pattern
 
 __all__ = [
@@ -52,22 +48,25 @@ class Match:
 
 
 # --------------------------------------------------------------------- #
-# Default interface: thin wrappers over the compiled VM
+# Stand-alone searches: one-pattern runs of the rule trie
 # --------------------------------------------------------------------- #
 
 
 def search_pattern(egraph: EGraph, pattern: Pattern) -> List[Match]:
-    """All matches of ``pattern`` anywhere in the e-graph (compiled VM)."""
-    from repro.egraph.machine import vm_search_pattern
-
-    return vm_search_pattern(egraph, pattern)
+    """All matches of ``pattern`` anywhere in the e-graph."""
+    return TrieMatcher([pattern]).search_all(egraph)[0]
 
 
 def search_eclass(egraph: EGraph, pattern: Pattern, eclass_id: int) -> List[Match]:
-    """All matches of ``pattern`` rooted at ``eclass_id`` (compiled VM)."""
-    from repro.egraph.machine import vm_search_eclass
-
-    return vm_search_eclass(egraph, pattern, eclass_id)
+    """All matches of ``pattern`` rooted at ``eclass_id``."""
+    root = egraph.find(eclass_id)
+    trie = build_rule_trie([pattern])
+    if trie.var_rules:  # a bare variable matches every class, binding itself
+        return [Match(eclass=root, subst={trie.var_rules[0][1]: root})]
+    out: Dict[int, List[Match]] = {0: []}
+    for bucket in trie.buckets.values():
+        trie_search_classes(egraph, bucket, [root], out)
+    return sorted(out[0], key=match_sort_key)
 
 
 def count_matches(egraph: EGraph, pattern: Pattern) -> int:

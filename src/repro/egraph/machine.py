@@ -1,12 +1,14 @@
-"""Compiled e-matching virtual machine.
+"""Compiled e-matching: pattern programs run by a shared-prefix rule trie.
 
 An interpretive matcher re-walks the pattern tree on every search,
 recursing through Python generators (the test oracle
 ``tests/oracles/naive_match.py`` does exactly that).  This module follows
 egg's design instead: each :class:`~repro.egraph.pattern.Pattern` is
-*compiled once* into a flat program of four instructions executed over an
-explicit register list (e-class ids), with backtracking driven by an explicit
-choice-point stack rather than recursion.
+*compiled once* into a flat program of four instructions over a register
+list (e-class ids), and the programs of many patterns are merged into one
+trie per root operator that a single traversal executes.  This is the only
+e-matching engine; ``repro.egraph.ematch.search_pattern`` runs it on a
+one-pattern trie.
 
 Instruction set
 ---------------
@@ -15,7 +17,7 @@ Instruction set
     Branch over every e-node with operator ``op`` / arity ``arity`` in the
     e-class held in ``regs[in_reg]``; for each, write its (canonicalised)
     child e-classes into ``regs[out_reg:out_reg + arity]``.  This is the only
-    branching instruction, so it is the only place a choice point is pushed.
+    branching instruction.
 
 ``Compare(reg_a, reg_b)``
     Fail unless both registers hold the same canonical e-class (a repeated
@@ -29,8 +31,8 @@ Instruction set
     what an interpretive matcher effectively does.
 
 ``Yield(names, regs)``
-    Emit the substitution ``{name: regs[r]}`` and backtrack to enumerate the
-    next match.
+    Emit the substitution ``{name: regs[r]}``; the traversal then continues
+    with the next branch of the enclosing ``Bind``.
 
 Incremental (delta) search
 --------------------------
@@ -52,9 +54,9 @@ one trie per root operator: programs whose instruction prefixes coincide
 compile identically) share the corresponding ``Bind``/``Compare``/
 ``Lookup`` work, and ``Yield`` leaves carry rule ids.  One traversal of each
 op-index bucket then produces ``(rule_id, match)`` pairs for every pattern at
-once, replacing R independent VM sweeps.  :class:`TrieMatcher` keeps the
-per-rule caches and merges them with a re-search of each bucket's delta
-closure.
+once, instead of R independent per-pattern sweeps.  :class:`TrieMatcher`
+keeps the per-rule caches and merges them with a re-search of each bucket's
+delta closure.
 
 The trie is agnostic to what a pattern *is for*: the saturation runner admits
 every single-pattern rule's LHS and every unique canonical multi-pattern
@@ -77,8 +79,6 @@ from repro.egraph.pattern import Pattern, PatternNode, PatternVar, ground_steps,
 __all__ = [
     "Program",
     "compile_pattern",
-    "vm_search_pattern",
-    "vm_search_eclass",
     "delta_closure",
     "match_sort_key",
     "RuleTrie",
@@ -166,7 +166,7 @@ def compile_pattern(pattern: Pattern) -> Program:
 
 
 # --------------------------------------------------------------------- #
-# Execution
+# Ground-term lookup and match order
 # --------------------------------------------------------------------- #
 
 
@@ -206,109 +206,9 @@ def _ground_lookup_ok(egraph: EGraph, steps, eclass_id: int) -> bool:
     return represented(len(steps) - 1, eclass_id)
 
 
-def _execute(egraph: EGraph, program: Program, root_class: int) -> Iterable[Dict[str, int]]:
-    """Run ``program`` rooted at ``root_class``, yielding raw substitutions."""
-    insts = program.insts
-    n = len(insts)
-    find = egraph.find
-    regs: List[int] = [find(root_class)]
-    # Choice points: [pc, saved_reg_len, node_iterator, op, arity]
-    stack: List[list] = []
-    pc = 0
-
-    while True:
-        advanced = True
-        while pc < n:
-            inst = insts[pc]
-            code = inst[0]
-            if code == BIND:
-                stack.append([pc, len(regs), iter(egraph[regs[inst[3]]].nodes), inst[1], inst[2]])
-                advanced = False
-                break
-            if code == COMPARE:
-                if find(regs[inst[1]]) != find(regs[inst[2]]):
-                    advanced = False
-                    break
-                pc += 1
-            elif code == LOOKUP:
-                if not _ground_lookup_ok(egraph, inst[1], regs[inst[2]]):
-                    advanced = False
-                    break
-                pc += 1
-            else:  # YIELD -- emit, then backtrack for the next match.
-                yield {name: find(regs[r]) for name, r in zip(inst[1], inst[2])}
-                advanced = False
-                break
-
-        if advanced:  # defensive: a program always ends in YIELD
-            return  # pragma: no cover
-
-        # Backtrack: advance the most recent choice point with work left.
-        while stack:
-            frame = stack[-1]
-            fpc, reg_len, node_iter, op, arity = frame
-            node = None
-            for candidate in node_iter:
-                if candidate.op == op and len(candidate.children) == arity:
-                    node = candidate
-                    break
-            if node is None:
-                stack.pop()
-                continue
-            del regs[reg_len:]
-            regs.extend(find(c) for c in node.children)
-            pc = fpc + 1
-            break
-        else:
-            return
-
-
 def match_sort_key(match) -> tuple:
     """Deterministic ordering for match lists (root class, then bindings)."""
     return (match.eclass, tuple(sorted(match.subst.items())))
-
-
-def _collect_matches(egraph: EGraph, program: Program, eclass_id: int, out: list) -> None:
-    from repro.egraph.ematch import Match  # local import: ematch imports us
-
-    eclass_id = egraph.find(eclass_id)
-    seen: Set[tuple] = set()
-    for subst in _execute(egraph, program, eclass_id):
-        key = tuple(sorted(subst.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(Match(eclass=eclass_id, subst=subst))
-
-
-def vm_search_eclass(egraph: EGraph, pattern: Pattern, eclass_id: int):
-    """All matches of ``pattern`` rooted at ``eclass_id`` (compiled path)."""
-    matches: list = []
-    _collect_matches(egraph, compile_pattern(pattern), eclass_id, matches)
-    matches.sort(key=match_sort_key)
-    return matches
-
-
-def vm_search_classes(egraph: EGraph, program: Program, classes: Sequence[int]):
-    matches: list = []
-    for eclass_id in classes:
-        _collect_matches(egraph, program, eclass_id, matches)
-    matches.sort(key=match_sort_key)
-    return matches
-
-
-def vm_search_pattern(egraph: EGraph, pattern: Pattern):
-    """All matches of ``pattern`` anywhere in the e-graph (compiled path)."""
-    from repro.egraph.ematch import Match
-
-    program = compile_pattern(pattern)
-    if program.root_op is None:
-        name = pattern.root.name  # type: ignore[union-attr]
-        matches = [Match(eclass=c.id, subst={name: c.id}) for c in egraph.classes()]
-        matches.sort(key=match_sort_key)
-        return matches
-    candidates = sorted(egraph.classes_with_op(program.root_op))
-    return vm_search_classes(egraph, program, candidates)
 
 
 # --------------------------------------------------------------------- #
@@ -486,9 +386,9 @@ def trie_search_classes(
 ) -> None:
     """Search ``classes`` with ``bucket``, appending matches into ``out[rule_id]``.
 
-    Deduplication is per ``(rule, root class)``, mirroring the per-program
-    collection in :func:`vm_search_classes`; callers sort each rule's list
-    with :func:`match_sort_key` afterwards.
+    Deduplication is per ``(rule, root class)``: a substitution reached twice
+    from one root (through congruent e-nodes) is one match.  Callers sort
+    each rule's list with :func:`match_sort_key` afterwards.
     """
     from repro.egraph.ematch import Match  # local import: ematch imports us
 

@@ -128,10 +128,6 @@ class MultiPatternRewrite:
             skip_identical=skip_identical,
         )
 
-    @property
-    def num_outputs(self) -> int:
-        return len(self.sources)
-
     # ------------------------------------------------------------------ #
     # Matching
     # ------------------------------------------------------------------ #
@@ -279,11 +275,11 @@ class MultiPatternSearcher:
     The two halves are exposed separately so the runner can fuse the first
     into its trie sweep:
 
-    * :meth:`search_canonical` -- e-match every unique canonical pattern with
-      the compiled VM; the runner instead admits :meth:`canonical_patterns`
-      into its :class:`~repro.egraph.machine.TrieMatcher` and obtains the
-      same match lists from the single shared-prefix trie traversal that
-      serves the single-pattern rules;
+    * :meth:`search_canonical` -- e-match every unique canonical pattern on
+      its own; the runner instead admits :meth:`canonical_patterns` into its
+      :class:`~repro.egraph.machine.TrieMatcher` and obtains the same match
+      lists from the single shared-prefix trie traversal that serves the
+      single-pattern rules;
     * :meth:`combine_matches` -- decanonicalize and join each rule's
       per-source lists into :class:`MultiMatch` es.
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro import sexpr as sx
 from repro.egraph.language import ENode, RecExpr
@@ -133,7 +133,7 @@ class Pattern:
         return go(self.root)
 
     # ------------------------------------------------------------------ #
-    # Compilation (e-matching virtual machine)
+    # Compilation (e-matching programs for the rule trie)
     # ------------------------------------------------------------------ #
 
     def compile(self):

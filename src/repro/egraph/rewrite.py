@@ -10,8 +10,8 @@ Section 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 from repro.egraph.egraph import EGraph
 from repro.egraph.ematch import Match, search_pattern
@@ -67,7 +67,7 @@ class Rewrite:
     # ------------------------------------------------------------------ #
 
     def search(self, egraph: EGraph) -> List[Match]:
-        """Find all matches of the source pattern (compiled VM)."""
+        """Find all matches of the source pattern (a one-pattern trie search)."""
         return self.filter_matches(egraph, search_pattern(egraph, self.lhs))
 
     def filter_matches(self, egraph: EGraph, matches: List[Match]) -> List[Match]:

@@ -18,12 +18,12 @@ fail at construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ir.ops import Activation, OpKind, Padding, op_symbol
 from repro.ir.opspec import OPS, infer_symbol
-from repro.ir.tensor import DataKind, ShapeError, TensorData, TensorShape, format_identifier
+from repro.ir.tensor import TensorData, TensorShape, format_identifier
 
 __all__ = ["Node", "TensorGraph", "GraphBuilder"]
 

@@ -53,12 +53,10 @@ import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.ir.graph import GraphBuilder, TensorGraph
-from repro.ir.ops import Activation, Padding
+from repro.ir.ops import Padding
 from repro.ir.opspec import OPS, same_padding_amount
 from repro.ir.onnx_proto import (
-    AttrLite,
     GraphLite,
-    ModelLite,
     NodeLite,
     OnnxDecodeError,
     TensorLite,

@@ -48,8 +48,8 @@ serialization validation, and the config digest all know the operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.ir.ops import Activation, OpKind, Padding
 from repro.ir.tensor import DataKind, ShapeError, TensorData, parse_identifier

@@ -9,8 +9,8 @@ analysis data").
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 __all__ = ["DataKind", "TensorShape", "TensorData", "ShapeError", "parse_identifier", "format_identifier"]
 

@@ -13,8 +13,7 @@ optimizer must preserve:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.ir.graph import TensorGraph
 from repro.ir.ops import OpKind

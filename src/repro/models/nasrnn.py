@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.ir.graph import GraphBuilder, TensorGraph
-from repro.ir.ops import Activation
 
 __all__ = ["build_nasrnn"]
 

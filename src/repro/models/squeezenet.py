@@ -9,7 +9,7 @@ the structure behind the paper's 24.5% speedup on SqueezeNet.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.ir.graph import GraphBuilder, TensorGraph
 from repro.ir.ops import Activation, Padding

@@ -28,7 +28,6 @@ from repro.rules.conditions import (
     conv_not_grouped,
     enlarge_compatible,
     targets_shape_valid,
-    var_is_int,
     var_rank_is,
 )
 from repro.rules.defs import RuleDef

@@ -11,7 +11,7 @@ and users adding custom rules can reuse :func:`verify_rule` for theirs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 

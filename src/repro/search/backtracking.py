@@ -19,7 +19,7 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.costs.model import CostModel
 from repro.ir.graph import TensorGraph

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.egraph.ematch import Match
 from repro.egraph.multipattern import MultiMatch, MultiPatternRewrite
-from repro.egraph.pattern import Pattern, PatternNode, PatternTerm, PatternVar
+from repro.egraph.pattern import Pattern, PatternTerm, PatternVar
 from repro.egraph.rewrite import Rewrite
 from repro.egraph.shapeanalysis import intern_data
 from repro.ir.graph import GraphBuilder, TensorGraph

@@ -29,10 +29,11 @@ class ServiceError(RuntimeError):
 def parse_overrides(pairs: Iterable[str]) -> Dict[str, object]:
     """Parse CLI ``KEY=VALUE`` override strings into a config-override dict.
 
-    Values are decoded leniently (int, float, true/false, none, else string);
-    the server re-coerces and validates against the config dataclass and its
-    name tables, so a bad name or value (``none`` included) comes back as a
-    typed ``config`` error naming the problem.
+    Values are decoded leniently (int, float, true/false, else string); the
+    server re-coerces and validates against the config dataclass and its
+    name tables, so a bad name or value comes back as a typed ``config``
+    error naming the problem.  There is no spelling for JSON ``null``: the
+    server rejects it for every field.
     """
     overrides: Dict[str, object] = {}
     for pair in pairs:
@@ -43,8 +44,6 @@ def parse_overrides(pairs: Iterable[str]) -> Dict[str, object]:
         value: object
         if lowered in ("true", "false"):
             value = lowered == "true"
-        elif lowered in ("none", "null"):
-            value = None
         else:
             try:
                 value = int(raw)

@@ -1,19 +1,20 @@
-"""The interpretive backtracking e-matcher, the spec of the compiled matchers.
+"""The interpretive backtracking e-matcher, the spec of the compiled matcher.
 
 It re-walks the pattern tree through recursive generators on every search.
-The compiled virtual machine (``repro.egraph.machine``) and the
-shared-prefix rule trie must return the same canonical match lists in the
-same order (sorted by root e-class, then bindings);
+The shared-prefix rule trie (``repro.egraph.machine``) must return the same
+canonical match lists in the same order (sorted by root e-class, then
+bindings), whether it runs many patterns or one;
 ``tests/test_ematch_equivalence.py`` and ``tests/test_optimizer_golden.py``
 check that they do.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.egraph.egraph import EGraph
 from repro.egraph.ematch import Match
+from repro.egraph.language import ENode
 from repro.egraph.machine import match_sort_key
 from repro.egraph.pattern import Pattern, PatternTerm, PatternVar, Substitution
 
@@ -57,6 +58,16 @@ def _match_term(
             yield s
 
 
+def nodes_by_op(egraph: EGraph, op: str) -> List[Tuple[int, ENode]]:
+    """``(class id, e-node)`` for every canonical e-node with operator ``op``."""
+    return [
+        (eclass_id, node)
+        for eclass_id in sorted(egraph.classes_with_op(op))
+        for node in egraph[eclass_id].nodes
+        if node.op == op
+    ]
+
+
 def naive_search_eclass(egraph: EGraph, pattern: Pattern, eclass_id: int) -> List[Match]:
     """All matches of ``pattern`` rooted at ``eclass_id`` (interpretive matcher)."""
     eclass_id = egraph.find(eclass_id)
@@ -80,8 +91,6 @@ def naive_search_pattern(egraph: EGraph, pattern: Pattern) -> List[Match]:
     operator equals the pattern root's operator, which avoids a full scan per
     e-class for selective patterns.
     """
-    from repro.egraph.machine import match_sort_key
-
     root = pattern.root
     matches: List[Match] = []
 
@@ -92,7 +101,7 @@ def naive_search_pattern(egraph: EGraph, pattern: Pattern) -> List[Match]:
         matches.sort(key=match_sort_key)
         return matches
 
-    by_op = egraph.nodes_by_op().get(root.op, [])
+    by_op = nodes_by_op(egraph, root.op)
     candidate_classes = sorted({egraph.find(eclass_id) for eclass_id, _ in by_op})
     for eclass_id in candidate_classes:
         matches.extend(naive_search_eclass(egraph, pattern, eclass_id))

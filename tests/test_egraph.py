@@ -106,10 +106,11 @@ class TestUnion:
 
 class TestBirthStamps:
     def test_repair_inherits_stamp_without_burning_counter(self):
-        # Regression: _repair used next() as an eagerly evaluated dict.get
-        # default, so every repaired parent consumed a birth stamp even when
-        # the canonical node inherited one -- making later stamps (and the
-        # cycle filter's "newest node" choice) depend on rebuild order.
+        # Regression: _repair_classes used next() as an eagerly evaluated
+        # dict.get default, so every repaired parent consumed a birth stamp
+        # even when the canonical node inherited one -- making later stamps
+        # (and the cycle filter's "newest node" choice) depend on rebuild
+        # order.
         eg = EGraph()
         a = eg.add(ENode("a"))
         b = eg.add(ENode("b"))

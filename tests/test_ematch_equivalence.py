@@ -1,7 +1,8 @@
-"""Equivalence of the compiled e-matching VM and the naive matcher.
+"""Equivalence of the compiled e-matching trie and the naive matcher.
 
-The compiled virtual machine (:mod:`repro.egraph.machine`) and the
-shared-prefix rule trie must return exactly the same canonical match set as
+The shared-prefix rule trie (:mod:`repro.egraph.machine`) -- run over many
+patterns by the runner and over one by ``search_pattern`` /
+``search_eclass`` -- must return exactly the same canonical match lists as
 the interpretive backtracking matcher for every rule in the library, on
 clean e-graphs, on dirty e-graphs (pending unions mid-iteration), and
 through incremental (delta-seeded) searches.  These tests treat the naive
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from oracles.naive_match import naive_search_eclass, naive_search_pattern
 
 from repro.egraph.egraph import EGraph
-from repro.egraph.ematch import search_eclass, search_pattern
+from repro.egraph.ematch import Match, search_eclass, search_pattern
 from repro.egraph.language import RecExpr
 from repro.egraph.machine import (
     BIND,
@@ -53,12 +54,12 @@ def canonical_match_set(egraph, matches):
 
 
 def assert_equivalent(egraph, pattern):
-    vm = search_pattern(egraph, pattern)
+    trie = search_pattern(egraph, pattern)
     naive = naive_search_pattern(egraph, pattern)
-    assert canonical_match_set(egraph, vm) == canonical_match_set(egraph, naive), str(pattern)
+    assert canonical_match_set(egraph, trie) == canonical_match_set(egraph, naive), str(pattern)
     # Both matchers also agree on the deterministic list order, which is what
     # makes them interchangeable trajectory-for-trajectory in the runner.
-    assert vm == naive, str(pattern)
+    assert trie == naive, str(pattern)
 
 
 # --------------------------------------------------------------------- #
@@ -160,11 +161,35 @@ class TestEveryRuleOnHandBuiltGraphs:
             assert_equivalent(egraph, pattern)
 
     def test_search_eclass_agrees(self):
-        egraph, root = _tensor_egraph()
-        for pattern in SOURCE_PATTERNS:
-            vm = search_eclass(egraph, pattern, root)
-            naive = naive_search_eclass(egraph, pattern, root)
-            assert canonical_match_set(egraph, vm) == canonical_match_set(egraph, naive)
+        var_root = Pattern.parse("?x")
+        absent_root = Pattern.parse("(conv ?a ?b ?c ?d ?e ?f)")  # no class holds a conv
+        for dirty in (False, True):
+            egraph, _root = _tensor_egraph()
+            # Grow the e-graph with every rule once, so classes hold several
+            # e-nodes of one op and a pattern can match one root several ways.
+            for rewrite in RULESET.rewrites:
+                for match in rewrite.filter_matches(egraph, naive_search_pattern(egraph, rewrite.lhs)):
+                    rewrite.apply_match(egraph, match)
+            egraph.rebuild()
+            ids = egraph.eclass_ids()
+            if dirty:  # ids[1] and ids[0] become non-canonical
+                egraph.union(ids[2], ids[1])
+                egraph.union(ids[-1], ids[0])
+                assert not egraph.is_clean()
+            n_multi = 0
+            for eclass_id in ids:
+                for pattern in SOURCE_PATTERNS + [var_root, absent_root]:
+                    matches = search_eclass(egraph, pattern, eclass_id)
+                    # Same list, order included, as the interpretive matcher.
+                    naive = naive_search_eclass(egraph, pattern, eclass_id)
+                    assert matches == naive, (dirty, str(pattern))
+                    n_multi += len(matches) > 1
+                canon = egraph.find(eclass_id)
+                assert search_eclass(egraph, var_root, eclass_id) == [
+                    Match(eclass=canon, subst={"x": canon})
+                ]
+                assert search_eclass(egraph, absent_root, eclass_id) == []
+            assert n_multi > 0  # the list order was actually exercised
 
 
 # --------------------------------------------------------------------- #
@@ -246,15 +271,12 @@ class TestEquivalenceProperties:
 
 
 def assert_trie_equivalent(egraph, patterns, trie_matcher=None, delta=None):
-    """The trie's per-rule lists must equal the per-rule VM and naive lists."""
+    """The trie's per-rule lists must equal the naive per-rule lists."""
     matcher = trie_matcher if trie_matcher is not None else TrieMatcher(patterns)
     all_matches = matcher.search_all(egraph, delta=delta)
     assert len(all_matches) == len(patterns)
     for pattern, trie_matches in zip(patterns, all_matches):
-        naive = naive_search_pattern(egraph, pattern)
-        assert trie_matches == naive, str(pattern)
-        if delta is None:
-            assert trie_matches == search_pattern(egraph, pattern), str(pattern)
+        assert trie_matches == naive_search_pattern(egraph, pattern), str(pattern)
 
 
 class TestTrieEquivalence:
@@ -371,7 +393,7 @@ class TestTrieEquivalence:
 
 
 # --------------------------------------------------------------------- #
-# VM internals: programs and the Lookup instruction
+# Compiled programs and the Lookup instruction
 # --------------------------------------------------------------------- #
 
 

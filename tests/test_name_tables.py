@@ -17,7 +17,7 @@ from repro.egraph.extraction import EXTRACTORS, GreedyExtractor, ILPExtractor
 from repro.egraph.scheduler import SCHEDULERS, make_scheduler
 
 
-class TestRegistryMechanics:
+class TestNameTables:
     def test_unknown_name_error_lists_available(self):
         with pytest.raises(ValueError, match=r"unknown scheduler 'nope'; available: simple, backoff"):
             make_scheduler("nope")

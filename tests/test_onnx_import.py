@@ -1,5 +1,6 @@
-"""Tests for the ONNX front door: the self-contained protobuf codec
-(:mod:`repro.ir.onnx_proto`) and the importer (:mod:`repro.ir.onnx_import`).
+"""Tests for the ONNX front door: the self-contained protobuf decoder
+(:mod:`repro.ir.onnx_proto`, with its test-side encoder ``onnx_encode``) and
+the importer (:mod:`repro.ir.onnx_import`).
 
 The decode path is pure Python, so everything here runs without the ``onnx``
 package; the interop tests at the bottom cross-check against the real
@@ -11,6 +12,7 @@ import struct
 from pathlib import Path
 
 import pytest
+from onnx_encode import encode_model
 
 from repro.core import TensatConfig, optimize
 from repro.ir.graph import TensorGraph
@@ -31,7 +33,6 @@ from repro.ir.onnx_proto import (
     OnnxDecodeError,
     TensorLite,
     ValueInfoLite,
-    encode_model,
     parse_model,
     tensor_floats,
     tensor_ints,

@@ -122,10 +122,10 @@ def test_shape_analysis_off_matches_on(model, monkeypatch):
 def test_birth_stamps_bit_identical_across_search_paths(model):
     """Node birth stamps must not depend on the search path.
 
-    Regression for the eager ``next()`` default in ``EGraph._repair``: every
-    repaired parent burned a birth stamp even when the canonical node
-    inherited one, so stamps (which cycle filtering uses to pick the newest
-    node) depended on rebuild order.  With the fix, the full
+    Regression for the eager ``next()`` default in
+    ``EGraph._repair_classes``: every repaired parent burned a birth stamp
+    even when the canonical node inherited one, so stamps (which cycle
+    filtering uses to pick the newest node) depended on rebuild order.  With the fix, the full
     ``node -> stamp`` map is bit-for-bit identical between the interpretive
     matcher and the trie.
     """

@@ -103,9 +103,16 @@ class TestParseOverrides:
             "iter_limit": 3,
             "alpha": 1.5,
             "flag": True,
-            "x": None,
+            "x": "none",
             "s": "greedy",
         }
+
+    def test_none_is_sent_as_a_string_and_rejected_by_the_server(self):
+        service = OptimizationService()
+        with pytest.raises(RequestError) as info:
+            service.resolve_config(parse_overrides(["iter_limit=none"]))
+        assert info.value.code == "config"
+        assert "'none'" in str(info.value)
 
     def test_malformed_pair_rejected(self):
         with pytest.raises(ValueError, match="KEY=VALUE"):

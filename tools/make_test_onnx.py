@@ -2,7 +2,7 @@
 """Regenerate the tiny checked-in ONNX test models under ``tests/data/onnx/``.
 
 Two models, both a few KB, synthesized with the self-contained wire encoder
-in :mod:`repro.ir.onnx_proto` (no ``onnx`` dependency):
+in ``tests/onnx_encode.py`` (no ``onnx`` dependency):
 
 * ``mlp_tiny.onnx`` -- an 8x16 residual MLP: Gemm (transB=1, explicit
   all-zero C), Relu, Transpose of a weight, MatMul, residual Add, Tanh.
@@ -28,6 +28,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "tests"))
 
 from repro.ir.onnx_proto import (  # noqa: E402
     AttributeKind,
@@ -39,8 +40,8 @@ from repro.ir.onnx_proto import (  # noqa: E402
     NodeLite,
     TensorLite,
     ValueInfoLite,
-    encode_model,
 )
+from onnx_encode import encode_model  # noqa: E402
 
 OUT_DIR = REPO_ROOT / "tests" / "data" / "onnx"
 
