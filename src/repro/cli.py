@@ -197,13 +197,18 @@ def _cmd_import(args) -> int:
 def _cmd_optimize(args) -> int:
     from repro.ir.onnx_import import OnnxImportError
 
+    try:
+        config = _config_from_args(args)
+    except ValueError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
     cost_model = AnalyticCostModel()
     try:
         graph = _load_onnx_arg(args) if args.onnx else build_model(args.model, args.scale)
     except OnnxImportError as exc:
         print(f"import failed: {exc}", file=sys.stderr)
         return 1
-    result = optimize(graph, cost_model=cost_model, config=_config_from_args(args))
+    result = optimize(graph, cost_model=cost_model, config=config)
     if args.output:
         save_graph(result.optimized, args.output)
     if args.json:

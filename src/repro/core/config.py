@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 from repro.egraph.cycles import CYCLE_FILTERS
@@ -26,6 +28,22 @@ _KNOB_TABLES = (
     ("scheduler", SCHEDULERS),
     ("cycle_filter", CYCLE_FILTERS),
 )
+
+#: Integer knob -> the least value it accepts.
+_INT_MINIMA = {
+    "node_limit": 1,
+    "iter_limit": 1,
+    "k_multi": 0,
+    "scheduler_match_limit": 0,
+    "scheduler_ban_length": 0,
+}
+
+#: Float knob -> whether it must be > 0 (otherwise >= 0); each must be finite.
+_FLOAT_POSITIVE = {
+    "exploration_time_limit": True,
+    "ilp_time_limit": True,
+    "ilp_mip_gap": False,
+}
 
 
 @dataclass(frozen=True)
@@ -91,10 +109,21 @@ class TensatConfig:
             value = getattr(self, knob)
             if value not in table:
                 raise ValueError(f"unknown {knob} {value!r}; available: {', '.join(table)}")
-        if self.node_limit <= 0 or self.iter_limit <= 0:
-            raise ValueError("node_limit and iter_limit must be positive")
-        if self.k_multi < 0:
-            raise ValueError("k_multi must be non-negative")
+        for knob, least in _INT_MINIMA.items():
+            value = getattr(self, knob)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{knob} must be an integer >= {least}, got {value!r}")
+        for knob, positive in _FLOAT_POSITIVE.items():
+            value = getattr(self, knob)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+                or value < 0
+                or (positive and value == 0)
+            ):
+                bound = "> 0" if positive else ">= 0"
+                raise ValueError(f"{knob} must be a finite number {bound}, got {value!r}")
         if self.cycle_filter == "none" and self.extraction == "ilp" and not self.ilp_cycle_constraints:
             raise ValueError(
                 "with cycle_filter='none' the ILP needs cycle constraints "

@@ -27,7 +27,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.backend.executor import execute_graph, outputs_allclose
 from repro.core.config import TensatConfig
 from repro.core.events import dispatch_event
 from repro.core.stats import OptimizationStats
@@ -299,6 +298,9 @@ class OptimizationSession:
         validate_graph(optimized)
         check_same_interface(self.graph, optimized)
         if self.config.verify_numerically:
+            # numpy loads here, so runs that do not verify never import it.
+            from repro.backend.executor import execute_graph, outputs_allclose
+
             if not outputs_allclose(
                 execute_graph(self.graph), execute_graph(optimized), rtol=1e-4, atol=1e-5
             ):

@@ -14,12 +14,15 @@ Two extractors are provided, matching the paper's Section 5:
 The ILP is built by the problem-reduction pass in
 :mod:`repro.egraph.extraction.problem` (dominated-node pruning + forced
 classes; see ``docs/extraction.md``).
+
+The ILP modules import numpy and scipy, so they load on first use: a process
+that only extracts greedily never imports either package.
 """
+
+import importlib
 
 from repro.egraph.extraction.base import ExtractionResult, Extractor
 from repro.egraph.extraction.greedy import GreedyExtractor
-from repro.egraph.extraction.ilp import ILPExtractor
-from repro.egraph.extraction.problem import ReductionStats, build_extraction_problem
 
 __all__ = [
     "EXTRACTORS",
@@ -32,7 +35,24 @@ __all__ = [
 ]
 
 
+#: Lazily imported public name -> the submodule that defines it (PEP 562).
+_LAZY = {
+    "ILPExtractor": "ilp",
+    "ReductionStats": "problem",
+    "build_extraction_problem": "problem",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
 def _make_ilp_extractor(node_cost, config, filter_list):
+    from repro.egraph.extraction.ilp import ILPExtractor
+
     return ILPExtractor(
         node_cost,
         with_cycle_constraints=config.ilp_cycle_constraints,

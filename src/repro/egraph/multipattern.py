@@ -90,10 +90,6 @@ class MultiPatternRewrite:
                 raise ValueError(
                     f"multi-pattern rewrite {self.name!r}: target uses unbound variables {sorted(unbound)}"
                 )
-        # Precompile every source pattern's e-matching program (cached on the
-        # pattern, so this is paid once per distinct pattern).
-        for p in self.sources:
-            p.compile()
         # Per-source variable lists (first-appearance order): the hash join
         # derives each join step's shared-variable key from these.
         self.source_variables: Tuple[Tuple[str, ...], ...] = tuple(

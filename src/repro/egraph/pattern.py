@@ -132,21 +132,6 @@ class Pattern:
 
         return go(self.root)
 
-    # ------------------------------------------------------------------ #
-    # Compilation (e-matching programs for the rule trie)
-    # ------------------------------------------------------------------ #
-
-    def compile(self):
-        """Compile to a flat e-matching :class:`~repro.egraph.machine.Program`.
-
-        Programs are cached per pattern, so rules constructed once pay the
-        compilation cost once, at :class:`~repro.egraph.rewrite.Rewrite` /
-        ``RuleSet`` construction time.
-        """
-        from repro.egraph.machine import compile_pattern
-
-        return compile_pattern(self)
-
     def ops(self) -> List[str]:
         result: List[str] = []
 

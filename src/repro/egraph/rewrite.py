@@ -41,14 +41,11 @@ class Rewrite:
                 f"rewrite {self.name!r}: right-hand side uses variables not bound "
                 f"on the left-hand side: {sorted(unbound)}"
             )
-        # Compile the source pattern once, at rule-construction time; the
-        # program is cached on the pattern, so every search reuses it.
-        self.program = self.lhs.compile()
         # Cached for the apply planner: leaves checked by cycle filtering and
         # the identity/variables that determine the RHS instantiation (dedup key).
         self.rhs_variables: Tuple[str, ...] = tuple(self.rhs.variables())
         self.rhs_key: str = str(self.rhs)
-        # The right-hand side compiled once, like the source pattern.
+        # The right-hand side compiled once, at rule-construction time.
         self.rhs_program = self.rhs.rhs_program
 
     @classmethod

@@ -457,6 +457,9 @@ class _Importer:
                 supported = ", ".join(sorted(self.HANDLERS))
                 raise OnnxImportError(
                     f"unsupported ONNX operator (supported: {supported})", node)
+            if not node.outputs:
+                # Every handler binds at least node.outputs[0].
+                raise OnnxImportError("node has no outputs", node)
             try:
                 getattr(self, method)(node)
             except ShapeError as exc:

@@ -111,7 +111,7 @@ def _coerce_override(name: str, value: object, reference: object) -> object:
             raise RequestError("config", f"config field {name!r} expects an integer, got {value!r}")
         try:
             return int(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: JSON Infinity
             raise RequestError(
                 "config", f"config field {name!r} expects an integer, got {value!r}"
             ) from None

@@ -108,6 +108,14 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["enodes"] > 0
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--ilp-time-limit", "-1"), ("--ilp-time-limit", "nan"), ("--node-limit", "0")]
+    )
+    def test_optimize_rejects_out_of_range_config(self, flag, value, capsys):
+        # TensatConfig's range check answers, without a traceback.
+        assert main(["optimize", "--model", "nasrnn", flag, value]) == 2
+        assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
+
     def test_optimize_writes_graph_file(self, tmp_path, capsys):
         out_path = str(tmp_path / "optimized.json")
         code = main(

@@ -6,6 +6,24 @@ import pytest
 
 from repro.core import OptimizationStats, TensatConfig
 
+NON_FINITE = (float("inf"), float("-inf"), float("nan"))
+
+#: Integer fields -> a value below the least each accepts.
+INT_FIELDS = {
+    "node_limit": 0,
+    "iter_limit": 0,
+    "k_multi": -1,
+    "scheduler_match_limit": -1,
+    "scheduler_ban_length": -1,
+}
+
+#: Float fields -> out-of-range values (time limits must be > 0, the gap >= 0).
+FLOAT_FIELDS = {
+    "exploration_time_limit": (0.0, -0.0, -1.0),
+    "ilp_time_limit": (0.0, -0.0, -1.0),
+    "ilp_mip_gap": (-0.01,),
+}
+
 
 class TestTensatConfig:
     def test_paper_defaults(self):
@@ -81,6 +99,24 @@ class TestTensatConfig:
             TensatConfig(iter_limit=0)
         with pytest.raises(ValueError):
             TensatConfig(k_multi=-1)
+
+    @pytest.mark.parametrize("field", sorted(INT_FIELDS))
+    def test_int_fields_reject_non_finite_non_integer_and_out_of_range(self, field):
+        for value in NON_FINITE + (1.5, True, "3", INT_FIELDS[field]):
+            with pytest.raises(ValueError, match=field):
+                TensatConfig(**{field: value})
+        assert getattr(TensatConfig(**{field: INT_FIELDS[field] + 1}), field) == INT_FIELDS[field] + 1
+
+    @pytest.mark.parametrize("field", sorted(FLOAT_FIELDS))
+    def test_float_fields_reject_non_finite_and_out_of_range(self, field):
+        for value in NON_FINITE + FLOAT_FIELDS[field] + (True, "1.0"):
+            with pytest.raises(ValueError, match=field):
+                TensatConfig(**{field: value})
+        # Integers are numbers too.
+        assert getattr(TensatConfig(**{field: 2}), field) == 2
+
+    def test_mip_gap_zero_is_allowed(self):
+        assert TensatConfig(ilp_mip_gap=0.0).ilp_mip_gap == 0.0
 
     def test_no_cycle_handling_at_all_is_rejected(self):
         # cycle_filter="none" + ILP without cycle constraints could extract a cyclic graph.

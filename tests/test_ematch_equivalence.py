@@ -432,7 +432,3 @@ class TestPrograms:
         assert not egraph.is_clean()
         assert_equivalent(egraph, pattern)
         del a
-
-    def test_rules_hold_precompiled_programs(self):
-        for rewrite in RULESET.rewrites:
-            assert rewrite.program is compile_pattern(rewrite.lhs)

@@ -8,6 +8,7 @@ library when it happens to be installed (the dedicated CI leg) and skip
 cleanly otherwise.
 """
 
+import dataclasses
 import struct
 from pathlib import Path
 
@@ -188,6 +189,26 @@ class TestImporterMapping:
             assert graph.nodes[graph.outputs[0]].shape == (width, 2)
         finally:
             register_concat(8)
+
+    def test_node_without_outputs_is_typed_error(self):
+        # Regression: mlp_tiny with node 0's outputs emptied used to escape
+        # as a bare IndexError from the handler's node.outputs[0].
+        model = parse_model((ONNX_DIR / "mlp_tiny.onnx").read_bytes())
+        node = model.graph.nodes[0]
+        model.graph.nodes[0] = dataclasses.replace(node, outputs=())
+        with pytest.raises(OnnxImportError, match="no outputs") as err:
+            import_onnx(encode_model(model))
+        assert err.value.op_type == node.op_type
+
+    @pytest.mark.parametrize("name", ["mlp_tiny", "convnet_tiny"])
+    def test_every_handler_rejects_a_node_without_outputs(self, name):
+        data = (ONNX_DIR / f"{name}.onnx").read_bytes()
+        for index in range(len(parse_model(data).graph.nodes)):
+            model = parse_model(data)
+            node = model.graph.nodes[index]
+            model.graph.nodes[index] = dataclasses.replace(node, outputs=())
+            with pytest.raises(OnnxImportError, match="no outputs"):
+                import_onnx(encode_model(model))
 
     def test_frontend_ops_produce_no_ir_nodes(self):
         assert set(FRONTEND_OPS) == {"Constant", "Identity"}

@@ -209,6 +209,32 @@ class TestRequestCore:
             assert response["error"]["type"] == "config", (field.name, response["error"])
             assert field.name in response["error"]["message"]
 
+    def test_non_finite_number_is_typed_config_error_for_every_numeric_field(self):
+        # Python's json accepts Infinity and NaN; none of them may reach
+        # int() (OverflowError) or the solver.
+        service = OptimizationService()
+        doc = graph_to_doc(small_graph())
+        numeric = [f.name for f in dataclass_fields(TensatConfig)
+                   if type(f.default) in (int, float)]
+        assert len(numeric) == 8
+        for name in numeric:
+            for value in (float("inf"), float("-inf"), float("nan")):
+                response = handle(service, {"op": "optimize", "graph": doc, "config": {name: value}})
+                assert response["ok"] is False, (name, value)
+                assert response["error"]["type"] == "config", (name, value, response["error"])
+                assert name in response["error"]["message"]
+
+    def test_out_of_range_float_is_typed_config_error(self):
+        service = OptimizationService()
+        doc = graph_to_doc(small_graph())
+        for name, value in (("exploration_time_limit", 0), ("exploration_time_limit", -1.0),
+                            ("ilp_time_limit", -0.0), ("ilp_time_limit", "-1"),
+                            ("ilp_mip_gap", -0.5), ("ilp_mip_gap", "1e400")):
+            response = handle(service, {"op": "optimize", "graph": doc, "config": {name: value}})
+            assert response["ok"] is False, (name, value)
+            assert response["error"]["type"] == "config", (name, value, response["error"])
+            assert name in response["error"]["message"]
+
     def test_removed_field_is_unknown_config_field(self):
         service = OptimizationService()
         doc = graph_to_doc(small_graph())
@@ -361,6 +387,20 @@ class TestDaemon:
                 graph=small_graph(), config={"extraction": "quantum"}, check=False
             )
             assert response["ok"] is False and response["error"]["type"] == "config"
+            client.shutdown()
+
+    def test_infinity_over_the_wire_is_config_error(self):
+        # The client's json.dumps writes float("inf") as the bare token Infinity.
+        with ServerThread(service_config=ServiceConfig(port=0)) as server:
+            client = ServiceClient(port=server.port)
+            for name in ("node_limit", "ilp_time_limit"):
+                response = client.optimize(
+                    graph=small_graph(), config={name: float("inf")}, check=False
+                )
+                assert response["ok"] is False
+                assert response["error"]["type"] == "config", response["error"]
+                assert name in response["error"]["message"]
+            assert client.ping()
             client.shutdown()
 
     def test_removed_knob_is_config_error_and_daemon_keeps_serving(self):
