@@ -51,15 +51,20 @@ from repro.ir.graph import GraphBuilder, TensorGraph
 from repro.ir.onnx_import import OnnxImportError, import_onnx
 from repro.ir.opspec import OPS, OpSpec, UnknownOperatorError, register_concat
 from repro.ir.tensor import TensorShape
-from repro.service import (
-    ResultCache,
-    ServiceClient,
-    ServiceConfig,
-    ServiceError,
-    graph_fingerprint,
-)
 
 __version__ = "0.2.0"
+
+#: Names served from :mod:`repro.service` on first access (PEP 562), so that
+#: ``import repro`` loads neither the service stack nor ``asyncio``.
+_SERVICE_NAMES = ("ResultCache", "ServiceClient", "ServiceConfig", "ServiceError", "graph_fingerprint")
+
+
+def __getattr__(name: str):
+    if name in _SERVICE_NAMES:
+        from repro import service
+
+        return getattr(service, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     # Driver API

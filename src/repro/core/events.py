@@ -14,7 +14,10 @@ Events, in emission order for one run:
 * ``on_match_batch(iteration, rule, n_matches, admitted)`` -- once per
   searched rule per iteration, with the rule's match count and whether the
   scheduler admitted the matches into the apply plan.  Scheduler-banned
-  rules are never searched, so they emit nothing.
+  rules are never searched, so they emit nothing.  A multi-pattern rule's
+  batch comes after the apply phase, and its count is the combinations
+  drawn from its stream (fewer than it would yield when the node limit
+  stops the phase, 0 when the phase stopped before the stream).
 * ``on_iteration_end(iteration, report)`` -- after the iteration's rebuild,
   with the fully populated :class:`~repro.egraph.runner.IterationReport`.
 * ``on_extraction(result)`` -- when extraction completes, with the
@@ -64,7 +67,11 @@ class OptimizationObserver:
         """An exploration iteration finished; ``report`` is its IterationReport."""
 
     def on_match_batch(self, iteration: int, rule: str, n_matches: int, admitted: bool) -> None:
-        """One rule's matches were searched (and scheduled) this iteration."""
+        """One rule's matches were searched (and scheduled) this iteration.
+
+        For a multi-pattern rule, ``n_matches`` counts the combinations the
+        apply phase drew from the rule's stream.
+        """
 
     def on_extraction(self, result) -> None:
         """Extraction completed; ``result`` is its ExtractionResult."""

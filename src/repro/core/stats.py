@@ -28,12 +28,14 @@ class OptimizationStats:
     search_seconds: float = 0.0
     apply_seconds: float = 0.0
     rebuild_seconds: float = 0.0
-    #: Time spent joining multi-pattern per-source matches into combinations
-    #: (a sub-span of the search phase; 0.0 when no multi-pattern rule ran).
+    #: Time spent building the multi-pattern join's probe indexes (a
+    #: sub-span of the search phase; 0.0 when no multi-pattern rule ran).
+    #: The combinations themselves are joined as the apply phase draws
+    #: them, so that work counts in ``apply_seconds``.
     multi_join_seconds: float = 0.0
     #: Time spent filtering single-pattern rules' matches through their
     #: conditions (a sub-span of the search phase; multi-pattern conditions
-    #: run inside the join and count in ``multi_join_seconds``).
+    #: run as their combinations are drawn and count in ``apply_seconds``).
     condition_seconds: float = 0.0
 
     exploration_iterations: int = 0

@@ -2,8 +2,14 @@
 
 The exploration loop used to interleave e-graph mutation with matching: each
 rule searched, then immediately applied its matches.  The pipeline instead
-collects every surviving match of an iteration into an :class:`ApplyPlan`
-first, then executes the whole plan against the e-graph in one pass:
+collects every surviving match of an iteration -- and every multi-pattern
+rule's stream of combinations -- into an :class:`ApplyPlan` first, then
+executes the whole plan against the e-graph in one pass:
+
+* **draw** -- the streams are joined, condition-checked and applied one
+  combination at a time, so nothing past the node-limit stop is joined or
+  checked; a condition drawn here reads the same e-class facts it would
+  have read at search time, because no union lands before the phase ends;
 
 * **dedup** -- two matches that would instantiate the *same* right-hand side
   under the *same* relevant bindings and union it with the *same* matched
@@ -20,9 +26,9 @@ first, then executes the whole plan against the e-graph in one pass:
 Plan execution is deterministic (entries run in insertion order), which is
 what lets the test oracles (the interpretive matcher, the Cartesian-product
 join) drive the pipeline through bit-for-bit identical saturation
-trajectories: they hand the planner the same ordered match and combination
-lists as the trie and the hash join, and everything after that is
-search-blind.
+trajectories: they hand the planner the same ordered matches and
+combinations as the trie and the streamed join, and everything after that
+is search-blind.
 
 See ``docs/apply_plan.md`` for the full plan/apply/rebuild story and
 ``docs/architecture.md`` for where it sits in the pipeline.
@@ -30,8 +36,8 @@ See ``docs/apply_plan.md`` for the full plan/apply/rebuild story and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.egraph.cycles import CycleFilter, NoCycleFilter
 from repro.egraph.egraph import EGraph
@@ -46,40 +52,59 @@ _SINGLE, _MULTI = 0, 1
 
 @dataclass
 class ApplyStats:
-    """What one plan execution did."""
+    """What one plan execution did.
 
-    n_planned: int = 0  # matches offered to the planner
+    Multi-pattern combinations are counted as they are drawn from their
+    streams: when execution stops at the node limit, the combinations a
+    stream would still have yielded are neither planned nor deduped.
+    """
+
+    n_planned: int = 0  # single matches added plus combinations drawn
     n_deduped: int = 0  # dropped as identical RHS instantiations
     n_applied: int = 0  # entries actually executed
     n_skipped_cycle: int = 0  # rejected by the cycle filter
     n_unions_queued: int = 0  # deferred unions produced
     truncated: bool = False  # stopped early at the node limit
+    #: Combinations drawn from each multi-pattern stream, in
+    #: :meth:`ApplyPlan.add_multi` order (0 for a stream never reached).
+    multi_drawn: List[int] = field(default_factory=list)
 
 
 class ApplyPlan:
     """All surviving matches of one iteration, deduped and ready to execute.
 
-    Usage (the runner's plan stage): call :meth:`add_multi` for every
-    multi-pattern combination first, then :meth:`add_rewrite` for every
-    admitted single-pattern match -- insertion order is application order,
-    and multi entries lead so a node-limit truncation spends the ``k_multi``
-    budget on the still-compact graph -- then :meth:`execute` once.  A plan
-    is single-use: build, execute, discard.
+    Usage (the runner's plan stage): call :meth:`add_multi` with every
+    multi-pattern rule's combination stream, :meth:`add_rewrite` for every
+    admitted single-pattern match, then :meth:`execute` once.  Execution
+    order is the streams in order, then the single matches in order -- the
+    multi entries lead so a node-limit truncation spends the ``k_multi``
+    budget on the still-compact graph.  A plan is single-use: build,
+    execute, discard.
     """
 
     def __init__(self) -> None:
-        # (kind, rule, match) in application order.
-        self._entries: List[tuple] = []
+        self._streams: List[Tuple[MultiPatternRewrite, Iterable[MultiMatch]]] = []
+        # (rule, match) in application order.
+        self._singles: List[Tuple[Rewrite, Match]] = []
         self._seen: Set[tuple] = set()
         self.n_planned = 0
         self.n_deduped = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """Single-pattern entries planned so far (streams are drawn at execution)."""
+        return len(self._singles)
 
     # ------------------------------------------------------------------ #
     # Planning
     # ------------------------------------------------------------------ #
+
+    def _admit(self, key: tuple) -> bool:
+        self.n_planned += 1
+        if key in self._seen:
+            self.n_deduped += 1
+            return False
+        self._seen.add(key)
+        return True
 
     def add_rewrite(self, rewrite: Rewrite, match: Match) -> bool:
         """Plan one single-pattern application; False when deduped away.
@@ -90,35 +115,43 @@ class ApplyPlan:
         each other, as do two matches differing only in variables the RHS
         ignores.
         """
-        self.n_planned += 1
         key = (
             _SINGLE,
             rewrite.rhs_key,
             match.eclass,
             tuple(sorted((v, match.subst[v]) for v in rewrite.rhs_variables)),
         )
-        if key in self._seen:
-            self.n_deduped += 1
+        if not self._admit(key):
             return False
-        self._seen.add(key)
-        self._entries.append((_SINGLE, rewrite, match))
+        self._singles.append((rewrite, match))
         return True
 
-    def add_multi(self, rule: MultiPatternRewrite, multi: MultiMatch) -> bool:
-        """Plan one multi-pattern application; False when deduped away."""
-        self.n_planned += 1
-        key = (
-            _MULTI,
-            rule.targets_key,
-            multi.eclasses,
-            tuple(sorted((v, multi.subst[v]) for v in rule.target_variables if v in multi.subst)),
-        )
-        if key in self._seen:
-            self.n_deduped += 1
-            return False
-        self._seen.add(key)
-        self._entries.append((_MULTI, rule, multi))
-        return True
+    def add_multi(self, rule: MultiPatternRewrite, combos: Iterable[MultiMatch]) -> None:
+        """Plan one multi-pattern rule's combinations, drawn during :meth:`execute`.
+
+        ``combos`` is typically :meth:`MultiPatternRewrite.combine`'s
+        stream.  Each drawn combination is deduped like
+        :meth:`add_rewrite`'s matches, on its targets, matched classes and
+        the bindings the targets use.
+        """
+        self._streams.append((rule, combos))
+
+    def _drawn(self, stats: ApplyStats) -> Iterator[Tuple[int, object, object]]:
+        """Every entry to execute in order: deduped draws, then the singles."""
+        for i, (rule, combos) in enumerate(self._streams):
+            for multi in combos:
+                stats.multi_drawn[i] += 1
+                subst = multi.subst
+                key = (
+                    _MULTI,
+                    rule.targets_key,
+                    multi.eclasses,
+                    tuple(sorted((v, subst[v]) for v in rule.target_variables if v in subst)),
+                )
+                if self._admit(key):
+                    yield _MULTI, rule, multi
+        for rewrite, match in self._singles:
+            yield _SINGLE, rewrite, match
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -130,21 +163,23 @@ class ApplyPlan:
         cycle_filter: Optional[CycleFilter] = None,
         node_limit: Optional[int] = None,
     ) -> ApplyStats:
-        """Run the plan: per-entry cycle check, bulk add, queue unions.
+        """Run the plan: draw, dedup, cycle-check, bulk add, queue unions.
 
         The caller owns the phase boundary: it must flush the deferred
         unions and rebuild once afterwards (the runner's rebuild stage).
         Execution stops -- deterministically -- as soon as the e-graph
-        exceeds ``node_limit``.
+        exceeds ``node_limit``; nothing is drawn from a stream after that.
+        Because every union is deferred, a stream's condition reads the same
+        facts while it is drawn here as it would have at search time.
         """
         if cycle_filter is None:
             cycle_filter = NoCycleFilter()
-        stats = ApplyStats(n_planned=self.n_planned, n_deduped=self.n_deduped)
+        stats = ApplyStats(multi_drawn=[0] * len(self._streams))
         unions_before = egraph.num_deferred_unions
         ground_memo: Dict[str, int] = {}
         allows = cycle_filter.allows
 
-        for kind, rule, match in self._entries:
+        for kind, rule, match in self._drawn(stats):
             if kind == _SINGLE:
                 leaves = [match.subst[v] for v in rule.rhs_variables]
                 if not allows(egraph, [match.eclass], leaves):
@@ -162,5 +197,6 @@ class ApplyPlan:
                 stats.truncated = True
                 break
 
+        stats.n_planned, stats.n_deduped = self.n_planned, self.n_deduped
         stats.n_unions_queued = egraph.num_deferred_unions - unions_before
         return stats

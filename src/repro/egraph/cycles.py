@@ -20,13 +20,14 @@ This module implements both cycle-filtering strategies from the paper:
   e-node to a *filter list*.  Filtered nodes are treated as removed: the
   descendants map, the DFS, and extraction all ignore them.
 
-The efficient filter makes one pass over the class graph per iteration
-(:func:`class_graph_pass`): after the rebuild, a colour DFS over dense class
-positions both checks that the graph is acyclic and folds each class's
-descendants into an int bitset.  The collecting DFS (:func:`find_cycles`)
-runs only when that check finds a cycle, and the next iteration's
-pre-filter reuses the bitsets unless the e-graph or the filter list changed
-in between.
+After the rebuild, the efficient filter builds the class graph's edge
+lists once (:class:`ClassGraph`) and runs one colour DFS over them per
+resolve round.  The DFS both collects :func:`find_cycles`' cycle list and
+folds each class's descendants into an int bitset; a round resolves the
+cycles and drops the newly filtered e-nodes' edges, and the first round
+that finds no cycle leaves exact bitsets.  The next iteration's pre-filter
+reuses them unless the e-graph or the filter list changed in between, and
+then recomputes them with :func:`class_graph_pass`.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from repro.egraph.language import ENode
 
 __all__ = [
     "FilterList",
+    "ClassGraph",
     "class_graph_pass",
     "reaches",
     "find_cycles",
@@ -201,6 +203,92 @@ def class_graph_pass(
 # ---------------------------------------------------------------------- #
 
 
+class ClassGraph:
+    """The class graph through unfiltered e-nodes, its edge lists built once.
+
+    ``edges[p]`` holds, for the class at dense position ``p`` (``ids[p]``),
+    one ``(enode, child position)`` edge per distinct (canonical e-node,
+    child class) pair, in node order and then child order.  :meth:`dfs`
+    walks these lists; :meth:`drop` removes the edges of e-nodes filtered
+    since, which is all a resolve round changes: it neither unions nor adds.
+    """
+
+    def __init__(self, egraph: EGraph, filter_list: Optional[FilterList] = None) -> None:
+        filtered = filter_list.as_set(egraph) if filter_list is not None else frozenset()
+        self.ids = egraph.eclass_ids()
+        self.position = position = {cls: i for i, cls in enumerate(self.ids)}
+        canonicalize = egraph.canonicalize
+        self.edges: List[List[Tuple[ENode, int]]] = []
+        for eclass in egraph.classes():
+            edges = []
+            seen: Set[ENode] = set()
+            for node in eclass.nodes:
+                canonical = canonicalize(node)
+                # A repeated canonical node repeats only pairs already listed.
+                if canonical in filtered or canonical in seen:
+                    continue
+                seen.add(canonical)
+                # canonicalize() already mapped every child through find().
+                for child in dict.fromkeys(canonical.children):
+                    edges.append((canonical, position[child]))
+            self.edges.append(edges)
+
+    def dfs(self) -> Tuple[List[int], List[List[Tuple[int, ENode]]]]:
+        """One colour DFS: ``(bits, cycles)``.
+
+        ``cycles`` is :func:`find_cycles`' list.  Bit ``d`` of ``bits[c]``
+        is set when position ``d`` is reachable from position ``c``, exact
+        on an acyclic graph; on a cyclic one a class misses what it reaches
+        only through a class still on the DFS stack.
+        """
+        ids, edges = self.ids, self.edges
+        n = len(edges)
+        bits = [0] * n
+        state = [0] * n  # 0 = unvisited, 1 = on the DFS stack, 2 = done
+        # ``path`` holds the (class, enode) edges from the DFS root down to
+        # the class being expanded; ``depth[c]`` is where a class on the
+        # stack entered it, so a back edge into c closes ``path[depth[c]:]``.
+        depth = [0] * n
+        cycles: List[List[Tuple[int, ENode]]] = []
+        for start in range(n):
+            if state[start]:
+                continue
+            state[start] = 1
+            path: List[Tuple[int, ENode]] = []
+            frames = [(start, iter(edges[start]))]
+            while frames:
+                cls, it = frames[-1]
+                for enode, child in it:
+                    bits[cls] |= 1 << child
+                    child_state = state[child]
+                    if child_state == 0:
+                        state[child] = 1
+                        path.append((ids[cls], enode))
+                        depth[child] = len(path)
+                        frames.append((child, iter(edges[child])))
+                        break
+                    if child_state == 2:
+                        bits[cls] |= bits[child]
+                    else:
+                        # Back edge (a self-loop included): one cycle per e-node.
+                        cycles.append(path[depth[child]:] + [(ids[cls], enode)])
+                else:
+                    state[cls] = 2
+                    frames.pop()
+                    if frames:
+                        path.pop()
+                        bits[frames[-1][0]] |= bits[cls]
+        return bits, cycles
+
+    def drop(self, nodes: Iterable[Tuple[int, ENode]]) -> None:
+        """Remove every edge of the given ``(class, e-node)`` pairs."""
+        gone: Dict[int, Set[ENode]] = {}
+        for cls, enode in nodes:
+            gone.setdefault(self.position[cls], set()).add(enode)
+        for pos, enodes in gone.items():
+            self.edges[pos] = [edge for edge in self.edges[pos] if edge[0] not in enodes]
+
+
 def find_cycles(
     egraph: EGraph, filter_list: Optional[FilterList] = None
 ) -> List[List[Tuple[int, ENode]]]:
@@ -211,63 +299,7 @@ def find_cycles(
     among its children.  A single pass may return many (possibly overlapping)
     cycles; the caller loops until a pass finds none.
     """
-    filtered = filter_list.as_set(egraph) if filter_list is not None else frozenset()
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: Dict[int, int] = {}
-    cycles: List[List[Tuple[int, ENode]]] = []
-
-    def class_edges(cls: int) -> List[Tuple[ENode, int]]:
-        edges: List[Tuple[ENode, int]] = []
-        seen_edges = set()
-        for node in egraph[cls].nodes:
-            canonical = egraph.canonicalize(node)
-            if filtered and canonical in filtered:
-                continue
-            # canonicalize() already mapped every child through find().
-            for child in canonical.children:
-                key = (canonical, child)
-                if key not in seen_edges:
-                    seen_edges.add(key)
-                    edges.append(key)
-        return edges
-
-    # Explicit-stack DFS.  ``path_edges`` holds the (class, enode) edges taken
-    # from the DFS root down to the class currently being expanded, and
-    # ``path_index`` maps each gray class to its position on that path so a
-    # back edge can be turned into the list of edges forming the cycle.
-    for start in egraph.eclass_ids():
-        start = egraph.find(start)
-        if color.get(start, WHITE) != WHITE:
-            continue
-        color[start] = GRAY
-        path_edges: List[Tuple[int, ENode]] = []
-        path_index: Dict[int, int] = {start: 0}
-        # Stack frames: (class, iterator over its edges)
-        frames: List[Tuple[int, Iterable[Tuple[ENode, int]]]] = [(start, iter(class_edges(start)))]
-        while frames:
-            cls, edge_iter = frames[-1]
-            descended = False
-            for enode, child in edge_iter:
-                child_color = color.get(child, WHITE)
-                if child_color == GRAY:
-                    # Back edge -> cycle from ``child`` down to ``cls`` plus this edge.
-                    start_pos = path_index[child]
-                    cycle = path_edges[start_pos:] + [(cls, enode)]
-                    cycles.append(cycle)
-                elif child_color == WHITE:
-                    color[child] = GRAY
-                    path_edges.append((cls, enode))
-                    path_index[child] = len(path_edges)
-                    frames.append((child, iter(class_edges(child))))
-                    descended = True
-                    break
-            if not descended:
-                color[cls] = BLACK
-                frames.pop()
-                if path_edges and frames:
-                    path_edges.pop()
-                path_index.pop(cls, None)
-    return cycles
+    return ClassGraph(egraph, filter_list).dfs()[1]
 
 
 def resolve_cycles(
@@ -334,21 +366,20 @@ class VanillaCycleFilter(CycleFilter):
         # The per-match check is complete w.r.t. the state it saw, but checks
         # within one iteration still interleave with applications, so a
         # clean-up pass keeps the invariant (and mirrors Algorithm 2's loop).
-        return _postprocess(egraph, self.filter_list)
+        return _resolve_all(egraph, self.filter_list)[0]
 
 
 class EfficientCycleFilter(CycleFilter):
     """Descendants-bitset pre-filter + DFS post-processing (paper Algorithm 2).
 
-    Each iteration pays for one :func:`class_graph_pass`, run after the
-    rebuild in :meth:`end_iteration`; :func:`find_cycles` and
-    :func:`resolve_cycles` run only when that pass finds a cycle, followed
-    by another pass.  The next :meth:`begin_iteration` reuses the pass's
-    bitsets when the e-graph and filter list are as the pass left them --
+    :meth:`end_iteration` builds the :class:`ClassGraph` once after the
+    rebuild and reruns its DFS per resolve round until a round finds no
+    cycle.  The next :meth:`begin_iteration` reuses that round's bitsets
+    when the e-graph and filter list are as the rounds left them --
     the stamp ``(e-graph, filter list, num_unions, num_enodes, len(filter
-    list))`` -- and recomputes them otherwise: every change to the class
-    graph adds an e-node or performs a union, and the filter list only
-    grows between unions.
+    list))`` -- and recomputes them with :func:`class_graph_pass`
+    otherwise: every change to the class graph adds an e-node or performs
+    a union, and the filter list only grows between unions.
     """
 
     def __init__(self) -> None:
@@ -362,15 +393,10 @@ class EfficientCycleFilter(CycleFilter):
         flist = self.filter_list
         return (egraph, flist, egraph.num_unions, egraph.num_enodes, len(flist))
 
-    def _pass(self, egraph: EGraph) -> bool:
-        """Run :func:`class_graph_pass`, keep its bitsets; True when acyclic."""
-        self._position, self._bits, self._acyclic = class_graph_pass(egraph, self.filter_list)
-        self._stamp = self._stamp_of(egraph)
-        return self._acyclic
-
     def begin_iteration(self, egraph: EGraph) -> None:
         if self._stamp != self._stamp_of(egraph):
-            self._pass(egraph)
+            self._position, self._bits, self._acyclic = class_graph_pass(egraph, self.filter_list)
+            self._stamp = self._stamp_of(egraph)
 
     def allows(self, egraph: EGraph, matched_eclasses: Sequence[int], leaf_eclasses: Sequence[int]) -> bool:
         """``WillCreateCycle`` of Algorithm 2, negated.
@@ -400,24 +426,31 @@ class EfficientCycleFilter(CycleFilter):
         """Collect and resolve cycles until a pass finds none; return how many."""
         if self._acyclic and self._stamp == self._stamp_of(egraph):
             return 0  # the iteration changed nothing since an acyclic pass
-        resolved = 0
-        while not self._pass(egraph):
-            resolved += resolve_cycles(egraph, self.filter_list, find_cycles(egraph, self.filter_list))
+        resolved, graph, bits = _resolve_all(egraph, self.filter_list)
+        self._position, self._bits, self._acyclic = graph.position, bits, True
+        self._stamp = self._stamp_of(egraph)
         return resolved
 
 
-def _postprocess(egraph: EGraph, filter_list: FilterList) -> int:
-    """Loop DFS passes until the e-graph (minus filtered nodes) is acyclic."""
-    total = 0
+def _resolve_all(egraph: EGraph, filter_list: FilterList) -> Tuple[int, ClassGraph, List[int]]:
+    """Resolve cycles until the e-graph (minus filtered nodes) is acyclic.
+
+    The edge lists are built once; each round reruns only the DFS, without
+    the edges of the e-nodes the previous round filtered.  Returns the
+    number resolved, the graph and its final (exact) bitsets.
+    """
+    graph = ClassGraph(egraph, filter_list)
+    resolved = 0
     while True:
-        cycles = find_cycles(egraph, filter_list)
+        bits, cycles = graph.dfs()
         if not cycles:
-            return total
-        resolved = resolve_cycles(egraph, filter_list, cycles)
-        if resolved == 0:
-            # Every cycle already held a filtered e-node: nothing to break.
-            return total
-        total += resolved
+            return resolved, graph, bits
+        # The first cycle holds no filtered node, so every round resolves one.
+        resolved += resolve_cycles(egraph, filter_list, cycles)
+        graph.drop(
+            (cls, enode) for cycle in cycles for cls, enode in cycle
+            if filter_list.contains(egraph, enode)
+        )
 
 
 #: Cycle-filter name -> class, in CLI order; the first is the

@@ -20,19 +20,21 @@ The application algorithm follows the paper:
    patterns: keep exactly the combinations whose shared variables map to the
    same e-class, and apply those.
 
-Step 3 is :meth:`MultiPatternRewrite.combine`, an indexed equi-join on the
-shared-variable tuple: hash the smaller side, probe with the larger, and
-chain joins in ascending match-count order for rules with three or more
-sources.  Its output list is identical to paper Algorithm 1's Cartesian
+Step 3 is :meth:`MultiPatternRewrite.combine`, a streamed index-probe join:
+each source is hashed on the variables it shares with the sources before
+it, and the stream walks source 0 in order, probing each later index in
+turn.  It yields exactly paper Algorithm 1's Cartesian
 product + filter (same combinations, same order) -- the product is kept as
-a test oracle -- it just never materialises the quadratic product.  ``docs/multipattern.md`` works through
-the algorithm and the order-parity argument.
+a test oracle -- without materialising the quadratic product, and only as
+far as its consumer draws: the apply plan stops drawing at the node limit.
+``docs/multipattern.md`` works through the algorithm and the order-parity
+argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.egraph.egraph import EGraph
 from repro.egraph.ematch import Match, search_pattern
@@ -90,8 +92,8 @@ class MultiPatternRewrite:
                 raise ValueError(
                     f"multi-pattern rewrite {self.name!r}: target uses unbound variables {sorted(unbound)}"
                 )
-        # Per-source variable lists (first-appearance order): the hash join
-        # derives each join step's shared-variable key from these.
+        # Per-source variable lists (first-appearance order): the join
+        # derives each probe index's shared-variable key from these.
         self.source_variables: Tuple[Tuple[str, ...], ...] = tuple(
             tuple(p.variables()) for p in self.sources
         )
@@ -139,97 +141,64 @@ class MultiPatternRewrite:
         self,
         egraph: EGraph,
         per_source_matches: Sequence[Sequence[Match]],
-    ) -> List[MultiMatch]:
-        """Combine the per-source match lists into compatible :class:`MultiMatch` es.
+    ) -> Iterator[MultiMatch]:
+        """Stream the compatible :class:`MultiMatch` es of the per-source match lists.
 
-        An indexed equi-join.  Its list is identical -- same combinations,
-        same order -- to paper Algorithm 1's Cartesian product + filter; ``tests/test_multipattern.py``
-        property-tests the equivalence against that oracle.
+        An index-probe join that yields exactly paper Algorithm 1's
+        Cartesian product + filter -- same combinations, same order;
+        ``tests/test_multipattern.py`` property-tests the equivalence
+        against that oracle.
 
-        Sources join in ascending match-count order.  Each step equi-joins
-        the accumulated partial combinations with the next source's matches
-        on their *shared-variable tuple* -- the variables the new source has
-        in common with every source already joined -- hashing whichever side
-        is smaller and probing with the other.  Compatibility over shared
-        variables is exactly what the key equality enforces, so no post-hoc
-        filter is needed.
-
-        Order parity: every surviving combination is tagged with its index
-        tuple into the per-source lists; sorting by that tuple reproduces the
-        product's lexicographic enumeration order.
+        The call builds, for every source, a hash index of its matches
+        keyed on the variables it shares with the sources before it (source
+        0 shares none: one bucket).  The returned iterator walks source 0 in
+        order and, for each partial combination, probes the next source's
+        index with the partial's bindings of those variables; each index
+        bucket keeps its matches in list order, so the combinations come
+        out in the product's lexicographic order with no sort.
+        ``skip_identical`` and the rule's condition run per combination as
+        it is drawn, so a caller that stops drawing pays for nothing past
+        that point.
         """
-        k = len(per_source_matches)
-        sizes = [len(matches) for matches in per_source_matches]
-        if 0 in sizes:
-            return []
+        if not all(per_source_matches):
+            return iter(())
+        bound: Set[str] = set()
+        probes: List[Tuple[Tuple[str, ...], Dict[tuple, List[Match]]]] = []
+        for variables, matches in zip(self.source_variables, per_source_matches):
+            shared = tuple(v for v in variables if v in bound)
+            index: Dict[tuple, List[Match]] = {}
+            for m in matches:
+                index.setdefault(tuple(m.subst[v] for v in shared), []).append(m)
+            probes.append((shared, index))
+            bound.update(variables)
+        return self._extend(egraph, probes, {}, ())
 
-        # Ascending selectivity: start from the smallest match list so the
-        # intermediate partial-combination sets stay as small as possible.
-        order = sorted(range(k), key=lambda j: (sizes[j], j))
-
-        first = order[0]
-        # partial = (merged substitution, index tuple aligned with joined_order)
-        partials: List[Tuple[Dict[str, int], Tuple[int, ...]]] = [
-            (dict(m.subst), (i,)) for i, m in enumerate(per_source_matches[first])
-        ]
-        joined_order = [first]
-        bound_vars = set(self.source_variables[first])
-
-        for j in order[1:]:
-            matches = per_source_matches[j]
-            shared = tuple(v for v in self.source_variables[j] if v in bound_vars)
-            merged_partials: List[Tuple[Dict[str, int], Tuple[int, ...]]] = []
-            if len(matches) <= len(partials):
-                # Index the new source's matches, probe with the partials.
-                index: Dict[tuple, list] = {}
-                for i, m in enumerate(matches):
-                    index.setdefault(tuple(m.subst[v] for v in shared), []).append((i, m))
-                for subst, idxs in partials:
-                    for i, m in index.get(tuple(subst[v] for v in shared), ()):
-                        merged = dict(subst)
-                        merged.update(m.subst)
-                        merged_partials.append((merged, idxs + (i,)))
-            else:
-                # Index the partials, probe with the new source's matches.
-                index = {}
-                for subst, idxs in partials:
-                    index.setdefault(tuple(subst[v] for v in shared), []).append((subst, idxs))
-                for i, m in enumerate(matches):
-                    for subst, idxs in index.get(tuple(m.subst[v] for v in shared), ()):
-                        merged = dict(subst)
-                        merged.update(m.subst)
-                        merged_partials.append((merged, idxs + (i,)))
-            joined_order.append(j)
-            partials = merged_partials
-            if not partials:
-                return []
-            bound_vars.update(self.source_variables[j])
-
-        # Restore product order.
-        keyed: List[Tuple[Tuple[int, ...], Dict[str, int]]] = []
-        for subst, idxs in partials:
-            positions = [0] * k
-            for i, j in zip(idxs, joined_order):
-                positions[j] = i
-            keyed.append((tuple(positions), subst))
-        keyed.sort(key=lambda entry: entry[0])
-
-        condition = self.condition
-        combos: List[MultiMatch] = []
-        for positions, subst in keyed:
-            eclasses = tuple(per_source_matches[j][positions[j]].eclass for j in range(k))
-            if self.skip_identical and k > 1 and len(set(eclasses)) == 1:
-                continue
+    def _extend(
+        self,
+        egraph: EGraph,
+        probes: List[Tuple[Tuple[str, ...], Dict[tuple, List[Match]]]],
+        subst: Dict[str, int],
+        eclasses: Tuple[int, ...],
+    ) -> Iterator[MultiMatch]:
+        """The combinations extending one partial combination over the first sources."""
+        depth = len(eclasses)
+        if depth == len(probes):
+            if self.skip_identical and depth > 1 and eclasses.count(eclasses[0]) == depth:
+                return
             multi = MultiMatch(eclasses=eclasses, subst=subst)
-            if condition is not None and not condition(egraph, multi):
-                continue
-            combos.append(multi)
-        return combos
+            if self.condition is None or self.condition(egraph, multi):
+                yield multi
+            return
+        shared, index = probes[depth]
+        for m in index.get(tuple(subst[v] for v in shared), ()):
+            merged = dict(subst)
+            merged.update(m.subst)
+            yield from self._extend(egraph, probes, merged, eclasses + (m.eclass,))
 
     def search(self, egraph: EGraph) -> List[MultiMatch]:
         """Stand-alone search (used by tests); the runner goes through :class:`MultiPatternSearcher`."""
         per_source = [search_pattern(egraph, p) for p in self.sources]
-        return self.combine(egraph, per_source)
+        return list(self.combine(egraph, per_source))
 
     # ------------------------------------------------------------------ #
     # Application
@@ -276,10 +245,13 @@ class MultiPatternSearcher:
       :class:`~repro.egraph.machine.TrieMatcher` and obtains the same match
       lists from the single shared-prefix trie traversal that serves the
       single-pattern rules;
-    * :meth:`combine_matches` -- decanonicalize and join each rule's
-      per-source lists into :class:`MultiMatch` es.
+    * :meth:`streams` -- decanonicalize each rule's per-source lists and
+      return its stream of :class:`MultiMatch` es, which the runner hands
+      to the apply plan; :meth:`combine_matches` is the same drawn into
+      lists.
 
-    :meth:`search` chains the two for stand-alone use.
+    :meth:`search` chains :meth:`search_canonical` and
+    :meth:`combine_matches` for stand-alone use.
     """
 
     def __init__(self, rules: Sequence[MultiPatternRewrite]) -> None:
@@ -316,28 +288,35 @@ class MultiPatternSearcher:
             for key, pattern in self._canonical_patterns.items()
         }
 
+    def streams(
+        self,
+        egraph: EGraph,
+        canonical_matches: Dict[str, List[Match]],
+    ) -> List[Tuple[MultiPatternRewrite, Iterator[MultiMatch]]]:
+        """Per rule, its combination stream (:meth:`MultiPatternRewrite.combine`).
+
+        ``canonical_matches`` maps each canonical pattern key (see
+        :meth:`canonical_patterns`) to its match list, from whichever search
+        path produced it -- :meth:`search_canonical` or the runner's trie.
+        The per-source lists are decanonicalized and the join's indexes
+        built now; the combinations are joined only as they are drawn.
+        """
+        results: List[Tuple[MultiPatternRewrite, Iterator[MultiMatch]]] = []
+        for rule, entries in zip(self.rules, self._rule_sources):
+            per_source = [
+                [MultiPatternRewrite._decanonicalize(m, rename_map) for m in canonical_matches[key]]
+                for key, rename_map in entries
+            ]
+            results.append((rule, rule.combine(egraph, per_source)))
+        return results
+
     def combine_matches(
         self,
         egraph: EGraph,
         canonical_matches: Dict[str, List[Match]],
     ) -> List[Tuple[MultiPatternRewrite, List[MultiMatch]]]:
-        """Decanonicalize and combine per rule, as :meth:`MultiPatternRewrite.combine`.
-
-        ``canonical_matches`` maps each canonical pattern key (see
-        :meth:`canonical_patterns`) to its match list, from whichever search
-        path produced it -- :meth:`search_canonical` or the runner's trie.
-        """
-        results: List[Tuple[MultiPatternRewrite, List[MultiMatch]]] = []
-        for rule, entries in zip(self.rules, self._rule_sources):
-            per_source: List[List[Match]] = []
-            for key, rename_map in entries:
-                decanonicalized = [
-                    MultiPatternRewrite._decanonicalize(m, rename_map)
-                    for m in canonical_matches[key]
-                ]
-                per_source.append(decanonicalized)
-            results.append((rule, rule.combine(egraph, per_source)))
-        return results
+        """Every rule's combinations as a list: :meth:`streams`, drawn to the end."""
+        return [(rule, list(stream)) for rule, stream in self.streams(egraph, canonical_matches)]
 
     def search(self, egraph: EGraph) -> List[Tuple[MultiPatternRewrite, List[MultiMatch]]]:
         """One iteration's worth of matches for every rule (search + combine)."""

@@ -20,11 +20,13 @@ rebuild** pipeline:
    iteration's delta; each rule's condition then filters its match list.
 2. **schedule** -- a :class:`~repro.egraph.scheduler.Scheduler` strategy
    (simple or egg-style backoff) decides which rules' matches proceed.
-3. **plan** -- surviving matches are collected into an
+3. **plan** -- surviving matches, and each multi-pattern rule's stream of
+   combinations, are handed to an
    :class:`~repro.egraph.applier.ApplyPlan`, which dedups identical RHS
    instantiations.
-4. **apply** -- the plan executes in one pass: cycle-filter checks, bulk RHS
-   adds against a frozen union-find, unions queued.
+4. **apply** -- the plan executes in one pass: draw from the streams,
+   cycle-filter checks, bulk RHS adds against a frozen union-find, unions
+   queued; nothing is drawn once the node limit is exceeded.
 5. **rebuild** -- the queued unions are flushed and a single coordinated
    :meth:`EGraph.rebuild` restores congruence; cycle post-processing runs on
    the rebuilt graph.
@@ -36,7 +38,8 @@ entries so a node-limit truncation spends the ``k_multi`` budget first.
 Their canonical source patterns are admitted into the shared-prefix rule
 trie, so the one traversal per op bucket that matches the single-pattern
 rules yields the multi-pattern source matches too; per-rule combination is
-an indexed hash join on the shared variables (see ``docs/multipattern.md``).
+a streamed index-probe join on the shared variables, drawn by the apply
+phase (see ``docs/multipattern.md``).
 
 Cycle filtering (paper Section 5.2) plugs in as a :class:`~repro.egraph.cycles.CycleFilter`
 strategy: a per-iteration setup hook, a per-match ``allows`` check, and a
@@ -83,6 +86,10 @@ class IterationReport:
     """Statistics for one exploration iteration."""
 
     index: int
+    #: Every searched single-pattern rule's match count plus the
+    #: combinations drawn from each multi-pattern rule's stream.  When the
+    #: node limit stops the apply phase, the combinations left undrawn are
+    #: not counted.
     n_matches: int = 0
     n_applied: int = 0
     n_skipped_cycle: int = 0
@@ -92,19 +99,22 @@ class IterationReport:
     seconds: float = 0.0
     applied_multi: bool = False
     n_rules_banned: int = 0
-    #: Matches dropped by the apply planner as identical RHS instantiations.
+    #: Matches dropped by the apply planner as identical RHS instantiations
+    #: (of the multi-pattern combinations, only those drawn).
     n_deduped: int = 0
     #: Pipeline phase timings: searching for matches, planning + applying
     #: them, and flushing unions / restoring congruence.
     search_seconds: float = 0.0
     apply_seconds: float = 0.0
     rebuild_seconds: float = 0.0
-    #: Time spent joining multi-pattern per-source matches into combinations
-    #: (a sub-span of ``search_seconds``; 0.0 when no multi rules ran).
+    #: Time spent building the multi-pattern join's probe indexes (a
+    #: sub-span of ``search_seconds``; 0.0 when no multi rules ran).  The
+    #: combinations are joined as the apply phase draws them, so that work
+    #: counts in ``apply_seconds``.
     multi_join_seconds: float = 0.0
     #: Time spent filtering single-pattern rules' matches through their
     #: conditions (a sub-span of ``search_seconds``; multi-pattern conditions
-    #: run inside the join and count in ``multi_join_seconds``).
+    #: run as their combinations are drawn and count in ``apply_seconds``).
     condition_seconds: float = 0.0
     #: True when this iteration searched the whole e-graph; False when the
     #: search was seeded from the previous iteration's delta.
@@ -397,7 +407,7 @@ class Runner:
             skip = () if multi_active else range(self._n_single, self._n_single + len(self._multi_keys))
             trie_results = self._trie_matcher.search_all(self.egraph, delta=delta, skip=skip)
 
-        multi_matches = []
+        multi_streams = []
         if multi_active:
             report.applied_multi = True
             # Trie admission: the canonical source patterns were searched as
@@ -407,7 +417,7 @@ class Runner:
                 for offset, key in enumerate(self._multi_keys)
             }
             t_join = time.perf_counter()
-            multi_matches = self._multi_searcher.combine_matches(self.egraph, canonical_matches)
+            multi_streams = self._multi_searcher.streams(self.egraph, canonical_matches)
             report.multi_join_seconds = time.perf_counter() - t_join
 
         # One ordered match list per rule; None marks a banned (unsearched) rule.
@@ -425,11 +435,8 @@ class Runner:
         # --- plan + apply phases: schedule, dedup, execute in one pass ---- #
         t_apply = time.perf_counter()
         plan = ApplyPlan()
-        for rule, combos in multi_matches:
-            report.n_matches += len(combos)
-            self._emit("on_match_batch", iteration, rule.name, len(combos), True)
-            for combo in combos:
-                plan.add_multi(rule, combo)
+        for rule, combos in multi_streams:
+            plan.add_multi(rule, combos)
         for rule_index, matches in enumerate(single_matches):
             if matches is None:
                 continue
@@ -444,6 +451,10 @@ class Runner:
                 plan.add_rewrite(rewrite, match)
 
         apply_stats = plan.execute(self.egraph, self.cycle_filter, node_limit=self.limits.node_limit)
+        # A multi rule's batch is the combinations drawn from its stream.
+        for (rule, _combos), drawn in zip(multi_streams, apply_stats.multi_drawn):
+            report.n_matches += drawn
+            self._emit("on_match_batch", iteration, rule.name, drawn, True)
         report.n_applied = apply_stats.n_applied
         report.n_skipped_cycle = apply_stats.n_skipped_cycle
         report.n_deduped = apply_stats.n_deduped

@@ -1,4 +1,5 @@
-"""The cycle pre-filter's descendants map as it ran before the bitset pass.
+"""The cycle filter's walks as they ran before the bitset pass and the
+reusable class graph.
 
 ``descendants_map`` walked the whole e-graph at the start of every
 iteration, keeping one Python set of descendant e-classes per class, and
@@ -6,13 +7,19 @@ iteration, keeping one Python set of descendant e-classes per class, and
 ``EfficientCycleFilter.allows`` reads the int bitsets of
 ``class_graph_pass`` instead; it must give the same verdict for every
 (matched class, leaf) pair (``tests/test_cycle_bitsets.py``).
+
+``find_cycles`` is the collecting DFS that rebuilt every class's edge list
+on each call, and ``resolve_loop`` the end-of-iteration loop that ran it
+after every acyclicity pass.  ``ClassGraph.dfs`` must return the same
+cycle list, order included, and ``EfficientCycleFilter.end_iteration``
+must leave the same filter list.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.egraph.cycles import FilterList
+from repro.egraph.cycles import FilterList, class_graph_pass, resolve_cycles
 from repro.egraph.egraph import EGraph
 from repro.egraph.language import ENode
 
@@ -87,3 +94,71 @@ def would_create_cycle(
             if leaf == m or m in desc.get(leaf, ()):
                 return True
     return False
+
+
+def find_cycles(
+    egraph: EGraph, filter_list: Optional[FilterList] = None
+) -> List[List[Tuple[int, ENode]]]:
+    """One DFS pass over the e-graph collecting e-class-level cycles.
+
+    Each cycle is a list of ``(eclass_id, enode)`` edges, where ``enode``
+    belongs to ``eclass_id`` and has the next e-class on the cycle among its
+    children.
+    """
+    filtered = filter_list.as_set(egraph) if filter_list is not None else frozenset()
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color: Dict[int, int] = {}
+    cycles: List[List[Tuple[int, ENode]]] = []
+
+    def class_edges(cls: int) -> List[Tuple[ENode, int]]:
+        edges: List[Tuple[ENode, int]] = []
+        seen_edges = set()
+        for node in egraph[cls].nodes:
+            canonical = egraph.canonicalize(node)
+            if filtered and canonical in filtered:
+                continue
+            for child in canonical.children:
+                key = (canonical, child)
+                if key not in seen_edges:
+                    seen_edges.add(key)
+                    edges.append(key)
+        return edges
+
+    for start in egraph.eclass_ids():
+        start = egraph.find(start)
+        if color.get(start, WHITE) != WHITE:
+            continue
+        color[start] = GRAY
+        path_edges: List[Tuple[int, ENode]] = []
+        path_index: Dict[int, int] = {start: 0}
+        frames: List[Tuple[int, Iterable[Tuple[ENode, int]]]] = [(start, iter(class_edges(start)))]
+        while frames:
+            cls, edge_iter = frames[-1]
+            descended = False
+            for enode, child in edge_iter:
+                child_color = color.get(child, WHITE)
+                if child_color == GRAY:
+                    start_pos = path_index[child]
+                    cycles.append(path_edges[start_pos:] + [(cls, enode)])
+                elif child_color == WHITE:
+                    color[child] = GRAY
+                    path_edges.append((cls, enode))
+                    path_index[child] = len(path_edges)
+                    frames.append((child, iter(class_edges(child))))
+                    descended = True
+                    break
+            if not descended:
+                color[cls] = BLACK
+                frames.pop()
+                if path_edges and frames:
+                    path_edges.pop()
+                path_index.pop(cls, None)
+    return cycles
+
+
+def resolve_loop(egraph: EGraph, filter_list: FilterList) -> int:
+    """Pass, find, resolve until a pass finds the graph acyclic; how many resolved."""
+    resolved = 0
+    while not class_graph_pass(egraph, filter_list)[2]:
+        resolved += resolve_cycles(egraph, filter_list, find_cycles(egraph, filter_list))
+    return resolved

@@ -2,15 +2,15 @@
 
 Enumerate the full Cartesian product of the per-source match lists, keep
 the combinations whose shared variables bind the same e-class, and filter
-them through the rule's condition.  ``MultiPatternRewrite.combine`` (an
-indexed hash join) must return the identical list -- same combinations,
-same order (``tests/test_multipattern.py``).
+them through the rule's condition.  ``MultiPatternRewrite.combine`` (a
+streamed index-probe join) must yield the identical sequence -- same
+combinations, same order (``tests/test_multipattern.py``).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.egraph.egraph import EGraph
 from repro.egraph.ematch import Match
@@ -50,3 +50,17 @@ def combine_product(
             continue
         combos.append(multi)
     return combos
+
+
+def recording_product(calls: List[str]) -> Callable:
+    """:func:`combine_product` shaped as ``MultiPatternRewrite.combine``.
+
+    Each call appends the rule's name to ``calls``, so a test that patches
+    it in can check that the patched join actually ran.
+    """
+
+    def combine(rule: MultiPatternRewrite, egraph: EGraph, per_source_matches) -> List[MultiMatch]:
+        calls.append(rule.name)
+        return combine_product(rule, egraph, per_source_matches)
+
+    return combine

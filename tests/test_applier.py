@@ -81,9 +81,14 @@ class TestDedup:
         combos = rule.search(eg)
         assert len(combos) == 1
         plan = ApplyPlan()
-        assert plan.add_multi(rule, combos[0]) is True
-        assert plan.add_multi(rule, combos[0]) is False
-        assert plan.n_deduped == 1
+        # A multi rule's stream is drawn (and deduped) during execution.
+        plan.add_multi(rule, [combos[0], combos[0]])
+        assert plan.n_planned == 0
+        stats = plan.execute(eg)
+        assert stats.multi_drawn == [2]
+        assert stats.n_planned == 2
+        assert stats.n_deduped == 1
+        assert stats.n_applied == 1
 
 
 class TestExecution:

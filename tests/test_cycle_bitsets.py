@@ -6,6 +6,12 @@ Its bitsets must give the old pre-filter's verdict for every (matched
 class, leaf) pair, its acyclicity flag must agree with ``find_cycles``, and
 the filter must recompute the bitsets whenever the e-graph or the filter
 list changed since the pass that made them.
+
+``ClassGraph`` builds the edge lists once per ``end_iteration`` and reruns
+one DFS per resolve round.  That DFS must return the collecting DFS's cycle
+list (``tests/oracles/cycles.py``), order included, and ``class_graph_pass``'s
+bitsets on an acyclic graph, and ``end_iteration`` must resolve exactly
+what the old pass -> find -> resolve loop resolved.
 """
 
 from __future__ import annotations
@@ -13,9 +19,16 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles.cycles import descendants_map, would_create_cycle
+from oracles.cycles import descendants_map, resolve_loop, would_create_cycle
+from oracles.cycles import find_cycles as find_cycles_reference
 from repro.egraph import cycles
-from repro.egraph.cycles import EfficientCycleFilter, FilterList, class_graph_pass, find_cycles
+from repro.egraph.cycles import (
+    ClassGraph,
+    EfficientCycleFilter,
+    FilterList,
+    class_graph_pass,
+    find_cycles,
+)
 from repro.egraph.egraph import EGraph
 from repro.egraph.language import ENode
 from repro.egraph.rewrite import Rewrite
@@ -74,21 +87,108 @@ class TestBitsetParity:
         assert find_cycles(eg, flist) == []
 
 
+def copy_filter_list(egraph, flist):
+    copy = FilterList()
+    for node in flist:
+        copy.add(egraph, node)
+    return copy
+
+
+class TestClassGraphParity:
+    @settings(max_examples=200, deadline=None)
+    @given(egraphs())
+    def test_dfs_returns_reference_cycles_in_order(self, case):
+        eg, flist = case
+        _bits, found = ClassGraph(eg, flist).dfs()
+        assert found == find_cycles_reference(eg, flist)
+        assert find_cycles(eg, flist) == found
+
+    @settings(max_examples=200, deadline=None)
+    @given(egraphs())
+    def test_bits_equal_class_graph_pass_when_acyclic(self, case):
+        eg, flist = case
+        graph = ClassGraph(eg, flist)
+        bits, found = graph.dfs()
+        position, expected_bits, acyclic = class_graph_pass(eg, flist)
+        assert acyclic == (not found)
+        if acyclic:
+            assert graph.position == position
+            assert bits == expected_bits
+
+    @settings(max_examples=150, deadline=None)
+    @given(egraphs())
+    def test_end_iteration_resolves_like_the_reference_loop(self, case):
+        eg, flist = case
+        reference = copy_filter_list(eg, flist)
+        expected = resolve_loop(eg, reference)
+        cycle_filter = EfficientCycleFilter()
+        cycle_filter.filter_list = flist
+        assert cycle_filter.end_iteration(eg) == expected
+        assert set(flist) == set(reference)
+        # The bitsets left for the next iteration are the exact ones.
+        position, bits, acyclic = class_graph_pass(eg, flist)
+        assert acyclic
+        cycle_filter.begin_iteration(eg)
+        assert (cycle_filter._position, cycle_filter._bits) == (position, bits)
+
+    def test_resolve_rounds_build_the_edge_lists_once(self, monkeypatch):
+        """A graph that needs two resolve rounds builds one ClassGraph."""
+        eg = EGraph()
+        a, b, c = (eg.add(ENode(leaf)) for leaf in "xyz")
+        # Classes A -f-> B -g-> C -h-> A and A -k-> C.  The first round
+        # reports the loop through f, g and h and filters f, its newest
+        # e-node; the loop through k and h shows only in the second round.
+        eg.union(c, eg.add(ENode("h", (a,))))
+        eg.union(b, eg.add(ENode("g", (c,))))
+        eg.union(a, eg.add(ENode("f", (b,))))
+        eg.union(a, eg.add(ENode("k", (c,))))
+        eg.rebuild()
+        reference = FilterList()
+        expected = resolve_loop(eg, reference)
+
+        builds, rounds = [], []
+        real_init, real_dfs = ClassGraph.__init__, ClassGraph.dfs
+
+        def counted_init(self, egraph, filter_list=None):
+            builds.append(1)
+            real_init(self, egraph, filter_list)
+
+        def counted_dfs(self):
+            bits, found = real_dfs(self)
+            rounds.append(len(found))
+            return bits, found
+
+        monkeypatch.setattr(ClassGraph, "__init__", counted_init)
+        monkeypatch.setattr(ClassGraph, "dfs", counted_dfs)
+        cycle_filter = EfficientCycleFilter()
+        assert cycle_filter.end_iteration(eg) == expected == 2
+        assert rounds == [1, 1, 0]
+        assert len(builds) == 1
+        assert set(cycle_filter.filter_list) == set(reference)
+
+
 class TestBitsetReuse:
     """The bitsets survive from one iteration's end to the next one's start
     only while the e-graph and the filter list stay as the pass saw them."""
 
     @staticmethod
     def record_passes(monkeypatch):
-        """Log, per class-graph pass, the filter method that asked for it."""
+        """Log, per class-graph walk (a bitset pass or a ``ClassGraph``
+        build), the filter method that asked for it."""
         passes, phase = [], []
         real_pass = cycles.class_graph_pass
+        real_init = ClassGraph.__init__
 
         def counted(egraph, filter_list=None):
-            passes.append(phase[-1])
+            passes.append(phase[-1] if phase else None)
             return real_pass(egraph, filter_list)
 
+        def counted_init(self, egraph, filter_list=None):
+            passes.append(phase[-1] if phase else None)
+            real_init(self, egraph, filter_list)
+
         monkeypatch.setattr(cycles, "class_graph_pass", counted)
+        monkeypatch.setattr(ClassGraph, "__init__", counted_init)
         for name in ("begin_iteration", "end_iteration"):
             real = getattr(EfficientCycleFilter, name)
 

@@ -1,10 +1,12 @@
-"""numpy and scipy load only where they run.
+"""numpy, scipy and the service stack load only where they run.
 
 A greedy-extraction process never touches either package: the ILP extractor
 (:mod:`repro.egraph.extraction.ilp` / ``problem``) loads on first use and the
-numeric executor loads inside the ``verify_numerically`` branch.  Each check
-runs in a fresh interpreter, because this test process has long since
-imported both packages.
+numeric executor loads inside the ``verify_numerically`` branch.
+``import repro`` leaves :mod:`repro.service` (and with it ``asyncio``)
+unloaded until one of its names is read from the package.  Each check runs
+in a fresh interpreter, because this test process has long since imported
+all of them.
 """
 
 from __future__ import annotations
@@ -134,3 +136,42 @@ print(json.dumps({{"before": before, "same": ILPExtractor is direct,
     assert out["same"] is True
     assert out["names"] == ["ILPExtractor", "ReductionStats", "build_extraction_problem"]
     assert "NoSuchExtractor" in out["missing"]
+
+
+def test_import_repro_leaves_the_service_stack_unloaded():
+    out = run_child(
+        """
+import repro
+import repro.core.batch
+from repro.rules.library import default_ruleset
+default_ruleset()
+print(json.dumps({"loaded": sorted(m for m in sys.modules
+                                   if m == "asyncio" or m.startswith("repro.service"))}))
+""",
+        block=False,
+    )
+    assert out["loaded"] == []
+
+
+def test_service_names_still_import_from_the_package():
+    out = run_child(
+        """
+import repro
+from repro import ServiceClient, ServiceConfig, ServiceError, ResultCache, graph_fingerprint
+from repro.service import ServiceClient as direct
+try:
+    repro.NoSuchName
+    missing = "resolved"
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps({"same": ServiceClient is direct, "loaded": "repro.service" in sys.modules,
+                  "names": [ServiceConfig.__name__, ServiceError.__name__, ResultCache.__name__,
+                            graph_fingerprint.__name__],
+                  "missing": missing}))
+""",
+        block=False,
+    )
+    assert out["same"] is True
+    assert out["loaded"] is True
+    assert out["names"] == ["ServiceConfig", "ServiceError", "ResultCache", "graph_fingerprint"]
+    assert "NoSuchName" in out["missing"]

@@ -1,24 +1,36 @@
 """Tests for multi-pattern rewrites (paper Algorithm 1).
 
-The hash-join tests treat the Cartesian-product combine
+The join tests treat the Cartesian-product combine
 (``tests/oracles/product_join.py``) as the executable specification: for
 every scenario -- hand-built and property-generated -- ``combine`` must
-return a list *identical* to the product's, element for element and in the
-same order, because the saturation trajectory depends on that order.
+yield a sequence *identical* to the product's list, element for element and
+in the same order, because the saturation trajectory depends on that order.
+
+The streamed-apply tests pin what drawing the streams in the apply phase
+may change: only the match and dedup counts of an iteration the node limit
+cuts short, never the e-graph.
 """
 
+import gc
+import itertools
+from collections import Counter
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles.naive_match import NaiveSearchAll
-from oracles.product_join import combine_product
+from oracles.product_join import combine_product, recording_product
 
+from repro.core.config import TensatConfig
+from repro.core.events import RecordingObserver
+from repro.core.session import OptimizationSession
 from repro.egraph.egraph import EGraph
 from repro.egraph.ematch import search_pattern
 from repro.egraph.language import RecExpr
 from repro.egraph.multipattern import MultiPatternRewrite, MultiPatternSearcher
-from repro.egraph.runner import Runner, RunnerLimits, collect_trie_patterns
+from repro.egraph.runner import Runner, RunnerLimits, StopReason, collect_trie_patterns
+from repro.models import build_model
+from repro.rules.library import default_ruleset
 
 
 def matmul_merge_rule(condition=None):
@@ -182,7 +194,7 @@ def zero_shared_rule(condition=None):
 def assert_join_equals_product(egraph, rule):
     per_source = [search_pattern(egraph, p) for p in rule.sources]
     product = combine_product(rule, egraph, per_source)
-    hashed = rule.combine(egraph, per_source)
+    hashed = list(rule.combine(egraph, per_source))
     assert hashed == product  # same combinations, same order
     return product
 
@@ -277,6 +289,28 @@ def join_egraphs(draw):
 
 
 JOIN_RULES = [matmul_merge_rule(), three_source_rule(), zero_shared_rule()]
+JOIN_VARS = ["a", "x", "y", "w1"]
+
+
+def _rejects_some(egraph, multi):
+    return (sum(multi.eclasses) + sum(multi.subst.values())) % 3 != 0
+
+
+@st.composite
+def random_join_rules(draw):
+    """A 2- or 3-source rule over JOIN_OPS with randomly shared variables."""
+    sources = []
+    for _ in range(draw(st.integers(min_value=2, max_value=3))):
+        op, arity = draw(st.sampled_from(JOIN_OPS))
+        args = " ".join("?" + draw(st.sampled_from(JOIN_VARS)) for _ in range(arity))
+        sources.append(f"({op} {args})")
+    return MultiPatternRewrite.parse(
+        "random-join",
+        sources=sources,
+        targets=sources,
+        condition=_rejects_some if draw(st.booleans()) else None,
+        skip_identical=draw(st.booleans()),
+    )
 
 
 class TestHashJoinProperties:
@@ -292,9 +326,69 @@ class TestHashJoinProperties:
         searcher = MultiPatternSearcher(JOIN_RULES)
         canonical = searcher.search_canonical(egraph)
         hashed = searcher.combine_matches(egraph, canonical)
-        with mock.patch.object(MultiPatternRewrite, "combine", combine_product):
+        calls = []
+        with mock.patch.object(MultiPatternRewrite, "combine", recording_product(calls)):
             product = searcher.combine_matches(egraph, canonical)
+        assert calls == [rule.name for rule in JOIN_RULES]
         assert hashed == product
+
+    @given(join_egraphs(), random_join_rules())
+    @settings(max_examples=150, deadline=None)
+    def test_stream_equals_product_for_random_rules(self, egraph, rule):
+        """2- and 3-source rules with any variable sharing, ``skip_identical``
+        on or off, with or without a condition that rejects some
+        combinations: same combinations, same order, same condition calls."""
+        checked = []
+        if rule.condition is not None:
+            condition = rule.condition
+            rule.condition = lambda g, multi: checked.append(multi) or condition(g, multi)
+        per_source = [search_pattern(egraph, p) for p in rule.sources]
+        product = combine_product(rule, egraph, per_source)
+        product_checked, checked[:] = list(checked), []
+        assert list(rule.combine(egraph, per_source)) == product
+        assert checked == product_checked
+
+    def test_streams_leave_no_reference_cycle(self):
+        """A drawn or abandoned stream is freed by reference counting.
+
+        A cycle would keep its probe indexes -- and through the condition's
+        arguments the e-graph -- alive until the next cyclic collection,
+        raising the peak memory of a long closed loop.
+        """
+        eg = EGraph()
+        eg.add_term("(noop (matmul 0 x w1) (matmul 0 x w2) (matmul 0 x w3))")
+        rule = three_source_rule(condition=lambda g, m: True)
+        per_source = [search_pattern(eg, p) for p in rule.sources]
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(list(rule.combine(eg, per_source))) == 24
+            abandoned = rule.combine(eg, per_source)
+            next(abandoned)
+            del abandoned
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_drawing_calls_the_condition_only_for_drawn_combinations(self):
+        eg = EGraph()
+        eg.add_term("(noop (matmul 0 x w1) (matmul 0 x w2) (matmul 0 x w3))")
+        checked = []
+
+        def condition(g, multi):
+            checked.append(multi)
+            return True
+
+        rule = three_source_rule(condition=condition)
+        per_source = [search_pattern(eg, p) for p in rule.sources]
+        stream = rule.combine(eg, per_source)
+        assert checked == []
+        drawn = list(itertools.islice(stream, 5))
+        assert len(drawn) == 5
+        assert checked == drawn
+        rest = list(stream)
+        assert len(checked) == 24
+        assert drawn + rest == checked
 
 
 # --------------------------------------------------------------------- #
@@ -335,8 +429,11 @@ def _runner_trajectory(naive=False):
 class TestRunnerJoinParity:
     def test_hash_and_product_runs_identical(self):
         hashed = _runner_trajectory()
-        with mock.patch.object(MultiPatternRewrite, "combine", combine_product):
+        calls = []
+        with mock.patch.object(MultiPatternRewrite, "combine", recording_product(calls)):
             assert _runner_trajectory() == hashed
+        # Both rules, in each of the k_multi=2 iterations.
+        assert calls == ["matmul-merge", "matmul-merge-three"] * 2
 
     def test_all_search_paths_identical_with_multi_rules(self):
         assert _runner_trajectory() == _runner_trajectory(naive=True)
@@ -379,3 +476,145 @@ class TestRunnerJoinParity:
         assert report.multi_join_seconds == pytest.approx(
             sum(it.multi_join_seconds for it in report.iterations)
         )
+
+
+# --------------------------------------------------------------------- #
+# Streams drawn by the apply phase
+# --------------------------------------------------------------------- #
+
+#: The ``saturate`` benchmark's exploration budget: nasrnn tiny stops on the
+#: node limit inside the second iteration's multi-pattern combinations.
+NASRNN_CUT = dict(extraction="greedy", k_multi=2, node_limit=1500, iter_limit=8)
+
+
+def _explored(config_overrides, observers=()):
+    session = OptimizationSession(
+        build_model("nasrnn", "tiny"), config=TensatConfig(**config_overrides), observers=observers
+    )
+    report = session.explore()
+    egraph = session.egraph
+    state = {
+        "classes": {cls.id: frozenset(cls.nodes) for cls in egraph.classes()},
+        "enodes": egraph.num_enodes,
+        "unions": egraph.num_unions,
+        "filtered": frozenset(session.runner.filter_list),
+        "applied": [it.n_applied for it in report.iterations],
+        "stop": report.stop_reason,
+    }
+    return state, report
+
+
+def _eager_combine(lengths):
+    """``combine`` drawn to a list up front, recording each list's length."""
+    real = MultiPatternRewrite.combine
+
+    def combine(rule, egraph, per_source):
+        combos = list(real(rule, egraph, per_source))
+        lengths.append(len(combos))
+        return combos
+
+    return combine
+
+
+def _counting_combine(drawn):
+    """``combine`` whose stream counts, per rule, the combinations drawn."""
+    real = MultiPatternRewrite.combine
+
+    def combine(rule, egraph, per_source):
+        for multi in real(rule, egraph, per_source):
+            drawn[rule.name] += 1
+            yield multi
+
+    return combine
+
+
+def _duplicate_target_rules():
+    """Two rules with one right-hand side: the second's draws all dedup."""
+    return [
+        MultiPatternRewrite.parse(
+            name,
+            sources=["(matmul ?a ?x ?w1)", "(matmul ?a ?x ?w2)"],
+            targets=["(split0 (split 1 (matmul ?a ?x (concat2 1 ?w1 ?w2))))",
+                     "(split1 (split 1 (matmul ?a ?x (concat2 1 ?w1 ?w2))))"],
+        )
+        for name in ("merge", "merge-again")
+    ]
+
+
+class TestStreamedApply:
+    def test_node_limit_cut_leaves_the_eager_lists_egraph(self):
+        streamed, report = _explored(NASRNN_CUT)
+        lengths = []
+        with mock.patch.object(MultiPatternRewrite, "combine", _eager_combine(lengths)):
+            eager, eager_report = _explored(NASRNN_CUT)
+        assert streamed == eager
+        assert report.stop_reason is StopReason.NODE_LIMIT
+        # Both runs count what the plan drew ...
+        counted = [it.n_matches for it in report.iterations]
+        assert [it.n_matches for it in eager_report.iterations] == counted
+        # ... and the cut is real: the eager lists alone held more.
+        assert sum(lengths) > sum(counted)
+
+    def test_counts_and_batches_are_the_draws(self):
+        recorder = RecordingObserver()
+        drawn = Counter()
+        with mock.patch.object(MultiPatternRewrite, "combine", _counting_combine(drawn)):
+            _state, report = _explored(NASRNN_CUT, observers=[recorder])
+        multi_names = {rule.name for rule in default_ruleset().multi_rewrites}
+        batches = recorder.of_kind("match_batch")
+        multi_batches = Counter()
+        for _kind, iteration, name, count, _admitted in batches:
+            if name in multi_names:
+                multi_batches[name] += count
+        assert multi_batches == +drawn
+        for iteration, it_report in enumerate(report.iterations):
+            in_iteration = [e for e in batches if e[1] == iteration]
+            assert sum(e[3] for e in in_iteration) == it_report.n_matches
+            # One batch per multi rule in each multi-pattern iteration, even
+            # for a rule whose stream the cut never reached.
+            multi_events = [e for e in in_iteration if e[2] in multi_names]
+            expected = len(multi_names) if iteration < NASRNN_CUT["k_multi"] else 0
+            assert len(multi_events) == expected
+
+    def test_dedup_counts_only_drawn_combinations(self):
+        def run(node_limit):
+            eg = EGraph()
+            eg.add_term("(noop (matmul 0 x w1) (matmul 0 x w2) (matmul 0 x w3))")
+            recorder = RecordingObserver()
+            runner = Runner(
+                eg,
+                multi_rewrites=_duplicate_target_rules(),
+                limits=RunnerLimits(iter_limit=1, k_multi=1, node_limit=node_limit or 10_000),
+                observers=[recorder],
+            )
+            start = eg.num_enodes
+            report = runner.run()
+            batches = {e[2]: e[3] for e in recorder.of_kind("match_batch")}
+            return start, report.iterations[0], batches
+
+        start, full, batches = run(None)
+        assert batches == {"merge": 6, "merge-again": 6}
+        assert full.n_deduped == 6 and full.n_applied == 6
+
+        start, cut, batches = run(start + 1)
+        # The first application crosses the limit: one draw, nothing deduped,
+        # the second rule's stream never reached.
+        assert batches == {"merge": 1, "merge-again": 0}
+        assert (cut.n_matches, cut.n_deduped, cut.n_applied) == (1, 0, 1)
+
+    def test_runner_hands_streams_to_the_plan_not_combine_matches(self):
+        eg, _ = shared_input_egraph()
+        searcher = MultiPatternSearcher([matmul_merge_rule()])
+        # The list view stays a list for search() and benchmark hooks.
+        (_rule, combos), = searcher.combine_matches(eg, searcher.search_canonical(eg))
+        assert isinstance(combos, list) and len(combos) == 2
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the runner must not draw streams through combine_matches")
+
+        with mock.patch.object(MultiPatternSearcher, "combine_matches", forbidden):
+            runner = Runner(
+                eg, multi_rewrites=[matmul_merge_rule()], limits=RunnerLimits(iter_limit=2, k_multi=1)
+            )
+            report = runner.run()
+        assert report.iterations[0].n_matches == 2

@@ -1,7 +1,7 @@
 """Golden regression tests: the production search reproduces the test oracles.
 
 For a few small seed models, the optimizer runs once on its production path
-(the shared-prefix rule trie, the multi-pattern hash join, compiled shape
+(the shared-prefix rule trie, the streamed multi-pattern join, compiled shape
 conditions) and once with one of those swapped for its oracle from
 ``tests/oracles/`` -- the interpretive matcher, the Cartesian-product join,
 bottom-up shape inference per check.  Each pair searches the same frozen
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 from oracles.naive_match import NaiveSearchAll
-from oracles.product_join import combine_product
+from oracles.product_join import recording_product
 from oracles.shape_spec import targets_valid_spec
 
 from repro.core.config import TensatConfig
@@ -80,17 +80,22 @@ def test_vm_paths_reproduce_naive_golden_record(model, overrides):
 
 @pytest.mark.slow
 def test_multipattern_hash_join_reproduces_product_golden_record(monkeypatch):
-    """The indexed multi-pattern join must not change the nasrnn trajectory.
+    """The streamed multi-pattern join must not change the nasrnn trajectory.
 
     The Cartesian product + filter (paper Algorithm 1) is the oracle; the
-    hash join must walk the identical trajectory bit-for-bit, with
+    streamed join must walk the identical trajectory bit-for-bit, with
     multi-pattern rules active long enough (k_multi=2) for the join to
     matter.
     """
     overrides = dict(extraction="greedy", k_multi=2)
     record = _golden_record("nasrnn", overrides)
-    monkeypatch.setattr(MultiPatternRewrite, "combine", combine_product)
+    calls = []
+    monkeypatch.setattr(MultiPatternRewrite, "combine", recording_product(calls))
     assert _golden_record("nasrnn", overrides) == record
+    # The oracle really served the run: one call per multi rule per
+    # multi-pattern iteration.
+    n_multi = len(default_ruleset().multi_rewrites)
+    assert len(calls) == n_multi * overrides["k_multi"]
 
 
 @pytest.mark.slow
