@@ -5,7 +5,7 @@ harness runs the TASO-style backtracking baseline and TENSAT over the same
 rules and cost model, then reports search time and the cost-model speedup of
 the optimized graph over the original.  Paper numbers are printed alongside
 for qualitative comparison (absolute values are not expected to match -- see
-EXPERIMENTS.md).
+the "Tests and benchmarks" section of README.md).
 """
 
 import pytest

@@ -6,7 +6,7 @@ instead of the paper's Rust + SCIP + GPU stack, the default workload scale is
 ``tiny`` so the full suite completes in minutes; set ``REPRO_BENCH_SCALE=small``
 (or ``full``) for larger runs.  Absolute numbers differ from the paper; the
 *shapes* (who wins, by roughly what factor, where the crossovers are) are what
-the harness reproduces -- see EXPERIMENTS.md.
+the harness reproduces -- see the "Tests and benchmarks" section of README.md.
 
 Each module writes a plain-text table to ``benchmarks/results/`` so the
 regenerated rows survive pytest's output capture.
@@ -21,9 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.core import OptimizationSession, TensatConfig, compare
-from repro.core.events import PhaseTimingObserver
-from repro.core.optimizer import OptimizationResult
+from repro.core import OptimizationResult, OptimizationSession, TensatConfig, compare
 from repro.costs import AnalyticCostModel
 from repro.ir.graph import TensorGraph
 from repro.models import build_model
@@ -34,7 +32,7 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: The seven models of the paper's evaluation (plus the order they appear in Table 1).
 PAPER_MODELS = ["nasrnn", "bert", "resnext", "nasnet", "squeezenet", "vgg", "inception"]
 
-#: Paper-reported numbers, used by EXPERIMENTS.md and printed next to measured
+#: Paper-reported numbers, printed next to measured
 #: values so the qualitative comparison is visible in the regenerated tables.
 PAPER_TABLE1 = {
     # model: (taso_search_s, tensat_search_s, taso_speedup_%, tensat_speedup_%)
@@ -68,7 +66,7 @@ def tensat_config(model: str, **overrides) -> TensatConfig:
     Mirrors the paper's setup (k_multi = 1 by default, efficient cycle
     filtering, ILP without cycle constraints) with limits sized for the
     pure-Python substrate; BERT gets a longer ILP budget because HiGHS needs
-    it to reach the strong incumbent (see EXPERIMENTS.md).
+    it to reach the strong incumbent.
     """
     base = dict(
         node_limit=4_000,
@@ -96,9 +94,6 @@ class ModelRun:
     tensat: OptimizationResult
     tensat_seconds: float
     taso: BacktrackingResult
-    #: Per-phase timing observer attached to the TENSAT run: phase_seconds
-    #: plus the search/apply/rebuild breakdown, without touching the result.
-    timing: Optional[PhaseTimingObserver] = None
 
     @property
     def tensat_speedup(self) -> float:
@@ -130,7 +125,6 @@ def run_model(
     cm = cost_model()
     graph = build_model(model, scale)
     config = tensat_config(model, k_multi=k_multi, **config_overrides)
-    timing = PhaseTimingObserver()
 
     if run_taso:
         # The shared compare() front door is the same implementation the
@@ -139,7 +133,6 @@ def run_model(
             graph,
             cost_model=cm,
             config=config,
-            observers=[timing],
             taso_budget=taso_budget(),
             taso_time_limit=600.0,
             taso_alpha=1.0,
@@ -151,7 +144,7 @@ def run_model(
         # Session construction seeds the e-graph, so it belongs inside the
         # timer (as it does in compare() and in the pre-session harness).
         start = time.perf_counter()
-        session = OptimizationSession(graph, cost_model=cm, config=config, observers=[timing])
+        session = OptimizationSession(graph, cost_model=cm, config=config)
         tensat_result = session.result()
         tensat_seconds = time.perf_counter() - start
         taso_result = BacktrackingResult(
@@ -172,7 +165,6 @@ def run_model(
         tensat=tensat_result,
         tensat_seconds=tensat_seconds,
         taso=taso_result,
-        timing=timing,
     )
     _RUN_CACHE[cache_key] = run
     return run

@@ -12,7 +12,7 @@ Run with::
     python examples/custom_rules.py
 """
 
-from repro import GraphBuilder, TensatConfig, TensatOptimizer
+from repro import GraphBuilder, TensatConfig, optimize
 from repro.costs import AnalyticCostModel
 from repro.egraph.pattern import Pattern
 from repro.egraph.rewrite import Rewrite
@@ -61,7 +61,7 @@ def main() -> None:
     graph = b.finish(outputs=[gate])
 
     cost_model = AnalyticCostModel()
-    result = TensatOptimizer(cost_model, rules=rules, config=TensatConfig.fast()).optimize(graph)
+    result = optimize(graph, cost_model=cost_model, rules=rules, config=TensatConfig.fast())
     print(f"cost {result.original_cost:.5f} -> {result.optimized_cost:.5f} ms "
           f"({result.speedup_percent:+.1f}%)")
     print(f"optimized operators: {result.optimized.op_histogram()}")

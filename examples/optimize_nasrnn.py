@@ -17,7 +17,7 @@ where ``scale`` is ``tiny`` (default), ``small``, or ``full``.
 import sys
 import time
 
-from repro import TensatConfig, TensatOptimizer
+from repro import TensatConfig, optimize
 from repro.backend import execute_graph, outputs_allclose
 from repro.costs import AnalyticCostModel
 from repro.models import build_model
@@ -35,7 +35,7 @@ def main() -> None:
     # --- TENSAT ---------------------------------------------------------- #
     config = TensatConfig(node_limit=5_000, iter_limit=8, k_multi=1, ilp_time_limit=60.0)
     t0 = time.perf_counter()
-    tensat = TensatOptimizer(cost_model, config=config).optimize(graph)
+    tensat = optimize(graph, cost_model=cost_model, config=config)
     tensat_time = time.perf_counter() - t0
 
     # --- TASO-style backtracking ----------------------------------------- #

@@ -43,9 +43,9 @@ The package is organised as:
 
 from repro.core.batch import ComparisonResult, compare, optimize_many
 from repro.core.config import ConfigError, TensatConfig
-from repro.core.events import OptimizationObserver, PhaseTimingObserver, RecordingObserver
-from repro.core.optimizer import OptimizationResult, TensatOptimizer, optimize
-from repro.core.session import OptimizationSession
+from repro.core.events import OptimizationObserver, RecordingObserver
+from repro.core.optimizer import optimize
+from repro.core.session import OptimizationResult, OptimizationSession
 from repro.core.stats import OptimizationStats
 from repro.ir.graph import GraphBuilder, TensorGraph
 from repro.ir.onnx_import import OnnxImportError, import_onnx
@@ -69,7 +69,6 @@ def __getattr__(name: str):
 __all__ = [
     # Driver API
     "OptimizationSession",
-    "TensatOptimizer",
     "TensatConfig",
     "ConfigError",
     "OptimizationResult",
@@ -81,7 +80,6 @@ __all__ = [
     "ComparisonResult",
     # Event / observer API
     "OptimizationObserver",
-    "PhaseTimingObserver",
     "RecordingObserver",
     # Optimization service
     "ResultCache",

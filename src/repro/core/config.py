@@ -16,9 +16,7 @@ __all__ = ["TensatConfig", "ConfigError"]
 class ConfigError(ValueError):
     """A configuration combination that cannot run as requested.
 
-    Raised instead of letting the underlying failure (a deep pickle
-    traceback inside a worker pool) surface later: the message names the
-    offending knob or component and what to change.
+    The message names the offending knob or component and what to change.
     """
 
 

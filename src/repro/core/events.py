@@ -2,10 +2,9 @@
 
 An observer subscribes to the event stream of an
 :class:`~repro.core.session.OptimizationSession` (and the
-:class:`~repro.egraph.runner.Runner` it drives).  Stats collection,
-per-phase timing, progress display, and benchmark instrumentation are all
-subscribers of this stream instead of fields hand-carried through the
-pipeline.
+:class:`~repro.egraph.runner.Runner` it drives), for progress display,
+tests and ad-hoc instrumentation.  The run's totals do not need one: they
+are on :class:`~repro.core.stats.OptimizationStats`.
 
 Events, in emission order for one run:
 
@@ -36,9 +35,9 @@ is the supported way to stay compatible with future events.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
-__all__ = ["OptimizationObserver", "PhaseTimingObserver", "RecordingObserver", "dispatch_event"]
+__all__ = ["OptimizationObserver", "RecordingObserver", "dispatch_event"]
 
 
 def dispatch_event(observers: Iterable[object], event: str, *args) -> None:
@@ -108,68 +107,3 @@ class RecordingObserver(OptimizationObserver):
     def of_kind(self, kind: str) -> List[Tuple]:
         """The recorded events of one kind, in order."""
         return [e for e in self.events if e[0] == kind]
-
-
-class PhaseTimingObserver(OptimizationObserver):
-    """Accumulates the timing breakdown benchmarks report.
-
-    ``phase_seconds`` maps each completed pipeline phase to its duration;
-    the ``search_seconds`` / ``apply_seconds`` / ``rebuild_seconds`` /
-    ``multi_join_seconds`` / ``condition_seconds`` attributes break
-    exploration down by pipeline stage, summed over iterations
-    (``per_iteration`` keeps the unsummed per-iteration values for
-    profiles).  ``extraction_stage_seconds`` breaks the extraction phase
-    into its pipeline stages (prune / ilp / greedy) and
-    ``extraction_prune_ratio`` records the problem-reduction shrink.
-    """
-
-    def __init__(self) -> None:
-        self.phase_seconds: Dict[str, float] = {}
-        self.iterations = 0
-        self.search_seconds = 0.0
-        self.apply_seconds = 0.0
-        self.rebuild_seconds = 0.0
-        self.multi_join_seconds = 0.0
-        self.condition_seconds = 0.0
-        self.per_iteration: List[Dict[str, float]] = []
-        #: Extraction stage -> seconds, summed over extractions (empty until
-        #: an extraction completes).
-        self.extraction_stage_seconds: Dict[str, float] = {}
-        #: Variable-space shrink of the extraction problem-reduction pass.
-        self.extraction_prune_ratio = 1.0
-
-    def on_phase(self, phase: str, seconds: float) -> None:
-        self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + seconds
-
-    def on_iteration_end(self, iteration: int, report) -> None:
-        self.iterations += 1
-        self.search_seconds += report.search_seconds
-        self.apply_seconds += report.apply_seconds
-        self.rebuild_seconds += report.rebuild_seconds
-        self.multi_join_seconds += report.multi_join_seconds
-        self.condition_seconds += report.condition_seconds
-        self.per_iteration.append(
-            {
-                "search_seconds": report.search_seconds,
-                "apply_seconds": report.apply_seconds,
-                "rebuild_seconds": report.rebuild_seconds,
-                "multi_join_seconds": report.multi_join_seconds,
-                "condition_seconds": report.condition_seconds,
-            }
-        )
-
-    def on_extraction(self, result) -> None:
-        for name, secs in result.stages.items():
-            self.extraction_stage_seconds[name] = (
-                self.extraction_stage_seconds.get(name, 0.0) + secs
-            )
-        if result.reduction is not None:
-            before = result.reduction.get("nodes_before", 0)
-            after = result.reduction.get("nodes_after", 0)
-            if after > 0:
-                self.extraction_prune_ratio = before / after
-
-    @property
-    def total_seconds(self) -> float:
-        """Sum of all completed phases."""
-        return sum(self.phase_seconds.values())

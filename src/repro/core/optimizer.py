@@ -13,9 +13,7 @@ This is the paper's primary contribution assembled end-to-end:
    and returned together with detailed statistics.
 
 The phases live on :class:`~repro.core.session.OptimizationSession`;
-:class:`TensatOptimizer` is the configured front door whose
-:meth:`~TensatOptimizer.optimize` is a thin composition of the session's
-steps.
+:func:`optimize` is the one-call composition of them.
 """
 
 from __future__ import annotations
@@ -24,51 +22,11 @@ from typing import Optional, Sequence
 
 from repro.core.config import TensatConfig
 from repro.core.session import OptimizationResult, OptimizationSession
-from repro.costs.model import AnalyticCostModel, CostModel
+from repro.costs.model import CostModel
 from repro.ir.graph import TensorGraph
-from repro.rules.library import RuleSet, default_ruleset
+from repro.rules.library import RuleSet
 
-__all__ = ["OptimizationResult", "TensatOptimizer", "optimize"]
-
-
-class TensatOptimizer:
-    """Tensor graph superoptimizer based on equality saturation.
-
-    Parameters
-    ----------
-    cost_model:
-        Per-operator cost model (defaults to the analytic T4-like model).
-    rules:
-        Rewrite rules (defaults to the full library).
-    config:
-        Pipeline configuration (defaults to the paper's settings).
-    """
-
-    def __init__(
-        self,
-        cost_model: Optional[CostModel] = None,
-        rules: Optional[RuleSet] = None,
-        config: Optional[TensatConfig] = None,
-    ) -> None:
-        self.cost_model = cost_model if cost_model is not None else AnalyticCostModel()
-        self.rules = rules if rules is not None else default_ruleset()
-        self.config = config if config is not None else TensatConfig()
-
-    # ------------------------------------------------------------------ #
-
-    def session(self, graph: TensorGraph, observers: Sequence[object] = ()) -> OptimizationSession:
-        """Start an :class:`OptimizationSession` for ``graph`` (nothing runs yet)."""
-        return OptimizationSession(
-            graph,
-            cost_model=self.cost_model,
-            rules=self.rules,
-            config=self.config,
-            observers=observers,
-        )
-
-    def optimize(self, graph: TensorGraph, observers: Sequence[object] = ()) -> OptimizationResult:
-        """Optimize ``graph`` end-to-end (the one-shot session composition)."""
-        return self.session(graph, observers=observers).result()
+__all__ = ["optimize"]
 
 
 def optimize(
@@ -79,14 +37,16 @@ def optimize(
     observers: Sequence[object] = (),
     **config_overrides,
 ) -> OptimizationResult:
-    """One-call convenience wrapper around :class:`TensatOptimizer`.
+    """Optimize ``graph`` end-to-end: ``OptimizationSession(...).result()``.
 
-    Keyword arguments are applied as overrides on top of ``config`` (or the
-    default configuration), e.g. ``optimize(graph, k_multi=2, extraction="greedy")``.
+    ``cost_model`` defaults to the analytic T4-like model, ``rules`` to the
+    full library and ``config`` to the paper's settings.  Keyword arguments
+    are applied as overrides on top of ``config``, e.g.
+    ``optimize(graph, k_multi=2, extraction="greedy")``.
     """
-    base = config if config is not None else TensatConfig()
+    config = config if config is not None else TensatConfig()
     if config_overrides:
-        base = base.with_overrides(**config_overrides)
-    return TensatOptimizer(cost_model=cost_model, rules=rules, config=base).optimize(
-        graph, observers=observers
-    )
+        config = config.with_overrides(**config_overrides)
+    return OptimizationSession(
+        graph, cost_model=cost_model, rules=rules, config=config, observers=observers
+    ).result()

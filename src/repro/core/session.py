@@ -14,7 +14,7 @@ explicit, individually callable steps::
 
 Each phase method is idempotent and auto-runs its prerequisites, so
 ``OptimizationSession(graph).result()`` is the one-shot path --
-:meth:`TensatOptimizer.optimize` is exactly that composition.  Observers
+:func:`repro.core.optimizer.optimize` is exactly that composition.  Observers
 (:mod:`repro.core.events`) subscribe to the run's event stream; the
 step-at-a-time loop, the one-shot path, and the batch front door
 (:mod:`repro.core.batch`) all walk bit-for-bit identical trajectories

@@ -67,21 +67,22 @@ class OptimizationStats:
 
     @classmethod
     def from_runner_report(cls, report: RunnerReport) -> "OptimizationStats":
-        stats = cls(
+        """Exploration totals, each summed once over ``report.iterations``."""
+        its = report.iterations
+        return cls(
             exploration_seconds=report.total_seconds,
-            search_seconds=report.search_seconds,
-            apply_seconds=report.apply_seconds,
-            rebuild_seconds=report.rebuild_seconds,
-            multi_join_seconds=report.multi_join_seconds,
-            condition_seconds=report.condition_seconds,
+            search_seconds=sum(it.search_seconds for it in its),
+            apply_seconds=sum(it.apply_seconds for it in its),
+            rebuild_seconds=sum(it.rebuild_seconds for it in its),
+            multi_join_seconds=sum(it.multi_join_seconds for it in its),
+            condition_seconds=sum(it.condition_seconds for it in its),
             exploration_iterations=report.num_iterations,
             stop_reason=report.stop_reason.value,
             num_enodes=report.n_enodes,
             num_eclasses=report.n_eclasses,
             num_filtered_nodes=report.n_filtered,
-            cycles_resolved=sum(it.n_cycles_resolved for it in report.iterations),
+            cycles_resolved=sum(it.n_cycles_resolved for it in its),
         )
-        return stats
 
     def as_dict(self) -> Dict[str, object]:
         return {

@@ -105,5 +105,10 @@ def build_recexpr(
         memo[eclass] = idx
         return idx
 
-    go(root)
+    # Clear ``go``'s self-reference so the e-graph it captures is freed by
+    # refcounting, not by a cyclic collection.
+    try:
+        go(root)
+    finally:
+        del go
     return expr

@@ -27,8 +27,7 @@ class ENode:
     ``hash((op, children))`` -- the value a frozen dataclass would give, so
     set and dict iteration orders do not depend on the caching.  It is not
     part of the pickled state: str hashes are salted per process, so an
-    unpickled e-node hashes afresh (``optimize_many(executor="process")``
-    ships e-nodes across processes).
+    e-node unpickled in another process hashes afresh.
     """
 
     __slots__ = ("op", "children", "_hash")

@@ -377,8 +377,13 @@ def _run_trie_class(egraph: EGraph, bucket: _TrieBucket, eclass_id: int, emit) -
             for rule_id, names, rregs in node.yields:
                 emit(rule_id, {name: find(regs[r]) for name, r in zip(names, rregs)})
 
-    for child in bucket.children:
-        run(child)
+    # ``run`` refers to itself through its closure cell; clearing the cell
+    # breaks that cycle so the e-graph it captures is freed by refcounting.
+    try:
+        for child in bucket.children:
+            run(child)
+    finally:
+        del run
 
 
 def trie_search_classes(
@@ -440,9 +445,9 @@ class TrieMatcher:
 
         The patterns and trie are immutable after construction, so they are
         shared by reference; the per-e-graph incremental cache is private to
-        each fork.  This is how ``optimize_many`` runs concurrent sessions
-        under one compiled trie without their delta caches corrupting each
-        other.
+        each fork.  This is how the optimization service's worker threads
+        run concurrent sessions under one compiled trie without their delta
+        caches corrupting each other.
         """
         clone = TrieMatcher.__new__(TrieMatcher)
         clone.patterns = self.patterns

@@ -51,7 +51,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 from repro.egraph.applier import ApplyPlan
 from repro.egraph.cycles import CycleFilter, FilterList, NoCycleFilter, make_cycle_filter
@@ -133,30 +133,10 @@ class RunnerReport:
     n_enodes: int = 0
     n_eclasses: int = 0
     n_filtered: int = 0
-    search_seconds: float = 0.0
-    apply_seconds: float = 0.0
-    rebuild_seconds: float = 0.0
-    multi_join_seconds: float = 0.0
-    condition_seconds: float = 0.0
 
     @property
     def num_iterations(self) -> int:
         return len(self.iterations)
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "stop_reason": self.stop_reason.value,
-            "iterations": self.num_iterations,
-            "seconds": round(self.total_seconds, 4),
-            "search_seconds": round(self.search_seconds, 4),
-            "apply_seconds": round(self.apply_seconds, 4),
-            "rebuild_seconds": round(self.rebuild_seconds, 4),
-            "multi_join_seconds": round(self.multi_join_seconds, 4),
-            "condition_seconds": round(self.condition_seconds, 4),
-            "enodes": self.n_enodes,
-            "eclasses": self.n_eclasses,
-            "filtered_nodes": self.n_filtered,
-        }
 
 
 #: Each iteration's search is seeded from the e-classes the previous one
@@ -191,9 +171,9 @@ def collect_trie_patterns(
 
     Single-pattern LHS patterns come first (index == rule index); the unique
     canonical multi-pattern source patterns follow, keyed so the runner can
-    split one ``search_all`` result back per rule.  A shared batch front door
-    (:func:`repro.core.batch.optimize_many`) uses the same helper to compile
-    one :class:`~repro.egraph.machine.TrieMatcher` reused across runs.
+    split one ``search_all`` result back per rule.
+    :func:`repro.core.batch.compile_shared_trie` uses the same helper to
+    compile one :class:`~repro.egraph.machine.TrieMatcher` reused across runs.
     """
     patterns = [rw.lhs for rw in rewrites]
     keys: List[str] = []
@@ -363,19 +343,13 @@ class Runner:
                 "exploration has not stopped; keep calling step() (or use run()), "
                 "or inspect the in-progress state via Runner.iterations"
             )
-        reports = self._reports
         return RunnerReport(
             stop_reason=self._stop,
-            iterations=list(reports),
+            iterations=list(self._reports),
             total_seconds=self._elapsed,
             n_enodes=self.egraph.num_enodes,
             n_eclasses=self.egraph.num_eclasses,
             n_filtered=len(self.filter_list),
-            search_seconds=sum(r.search_seconds for r in reports),
-            apply_seconds=sum(r.apply_seconds for r in reports),
-            rebuild_seconds=sum(r.rebuild_seconds for r in reports),
-            multi_join_seconds=sum(r.multi_join_seconds for r in reports),
-            condition_seconds=sum(r.condition_seconds for r in reports),
         )
 
     # ------------------------------------------------------------------ #

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import TensatConfig
-from repro.core.optimizer import TensatOptimizer
+from repro.core.optimizer import optimize
 from repro.models import build_model
 from repro.service.fingerprint import graph_fingerprint
 
@@ -29,7 +29,7 @@ def test_trajectory_bit_for_bit(model):
     expected = GOLDEN["models"][model]
     config = TensatConfig(**GOLDEN["config"])
     graph = build_model(model, GOLDEN["scale"])
-    result = TensatOptimizer(config=config).optimize(graph)
+    result = optimize(graph, config=config)
 
     report = result.runner_report
     iterations = report.iterations

@@ -24,6 +24,7 @@ from oracles.product_join import combine_product, recording_product
 from repro.core.config import TensatConfig
 from repro.core.events import RecordingObserver
 from repro.core.session import OptimizationSession
+from repro.core.stats import OptimizationStats
 from repro.egraph.egraph import EGraph
 from repro.egraph.ematch import search_pattern
 from repro.egraph.language import RecExpr
@@ -473,7 +474,8 @@ class TestRunnerJoinParity:
         )
         report = runner.run()
         assert report.iterations[0].multi_join_seconds >= 0.0
-        assert report.multi_join_seconds == pytest.approx(
+        stats = OptimizationStats.from_runner_report(report)
+        assert stats.multi_join_seconds == pytest.approx(
             sum(it.multi_join_seconds for it in report.iterations)
         )
 

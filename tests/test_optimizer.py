@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import TensatConfig, TensatOptimizer, optimize
+from repro import OptimizationSession, TensatConfig, optimize
 from repro.backend import execute_graph, outputs_allclose
 from repro.costs import AnalyticCostModel
 from repro.ir.graph import GraphBuilder
@@ -72,7 +72,7 @@ class TestOptimizeEndToEnd:
         assert result.summary()
 
     def test_explore_and_extract_separately(self, shared_matmul_graph):
-        session = TensatOptimizer(config=FAST).session(shared_matmul_graph)
+        session = OptimizationSession(shared_matmul_graph, config=FAST)
         report = session.explore()
         assert report.num_iterations >= 1
         extraction = session.extract()
@@ -80,7 +80,7 @@ class TestOptimizeEndToEnd:
 
     def test_custom_rules_subset(self, shared_matmul_graph):
         rules = default_ruleset().filter(include_tags=["fusion"])
-        result = TensatOptimizer(rules=rules, config=FAST).optimize(shared_matmul_graph)
+        result = optimize(shared_matmul_graph, rules=rules, config=FAST)
         # Fusion-only rules cannot merge the two matmuls.
         assert result.optimized_cost == pytest.approx(result.original_cost)
 

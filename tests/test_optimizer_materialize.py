@@ -15,7 +15,7 @@ import pytest
 
 import repro.core.session as session_module
 from repro.core.config import TensatConfig
-from repro.core.optimizer import TensatOptimizer
+from repro.core.optimizer import optimize
 from repro.core.session import OptimizationSession, materialize_extraction
 from repro.costs import AnalyticCostModel
 from repro.egraph.extraction.base import ExtractionResult
@@ -99,7 +99,7 @@ def test_end_to_end_optimize_survives_bad_primary_extraction(shared_matmul_graph
         return self.extraction
 
     monkeypatch.setattr(OptimizationSession, "extract", bad_extract)
-    result = TensatOptimizer(config=CONFIG).optimize(shared_matmul_graph)
+    result = optimize(shared_matmul_graph, config=CONFIG)
     assert result.stats.extraction_status.startswith("ilp_optimal_rejected")
     # Whatever fallback stage won, the output must be a valid graph no more
     # expensive than the input.
@@ -120,9 +120,7 @@ def test_regression_guard_records_status(shared_matmul_graph):
                 return cost * 100.0
             return cost
 
-    result = TensatOptimizer(cost_model=InflatingCostModel(), config=CONFIG).optimize(
-        shared_matmul_graph
-    )
+    result = optimize(shared_matmul_graph, cost_model=InflatingCostModel(), config=CONFIG)
     assert result.optimized is result.original
     assert result.optimized_cost == result.original_cost
     assert result.stats.extraction_status.endswith("_regression_guard_original_kept")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.stats import OptimizationStats
 from repro.egraph.egraph import EGraph
 from repro.egraph.ematch import Match
 from repro.egraph.language import RecExpr
@@ -149,4 +150,6 @@ class TestRunner:
         first = report.iterations[0]
         assert first.n_matches >= 2
         assert first.n_applied >= 1
-        assert report.summary()["stop_reason"] == "saturated"
+        summary = OptimizationStats.from_runner_report(report).as_dict()
+        assert summary["stop_reason"] == "saturated"
+        assert summary["iterations"] == report.num_iterations

@@ -8,7 +8,7 @@ from repro.egraph.rewrite import Rewrite
 from repro.egraph.runner import Runner, RunnerLimits, StopReason
 from repro.egraph.scheduler import BackoffScheduler, SimpleScheduler, make_scheduler
 from repro.models import build_model
-from repro.core import TensatConfig, TensatOptimizer
+from repro.core import TensatConfig, optimize
 from repro.costs import AnalyticCostModel
 
 
@@ -125,5 +125,5 @@ class TestSchedulerEndToEnd:
         config = TensatConfig.fast().with_overrides(
             scheduler="backoff", scheduler_match_limit=100, scheduler_ban_length=3
         )
-        result = TensatOptimizer(cm, config=config).optimize(graph)
+        result = optimize(graph, cost_model=cm, config=config)
         assert result.optimized_cost <= result.original_cost + 1e-12

@@ -1,7 +1,7 @@
 """Tests for the optimization service: cache, config, daemon round-trips.
 
 The load-bearing guarantee is cache parity: a cache-hit response must decode
-to a graph and costs bit-identical to a direct ``TensatOptimizer.optimize()``
+to a graph and costs bit-identical to a direct ``optimize()``
 run under the same configuration (the cache stores serialized results, so
 any divergence would mean the service returns *different answers* depending
 on traffic history).

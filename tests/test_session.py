@@ -9,12 +9,15 @@ and produces identical extraction results.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro import (
     OptimizationSession,
+    OptimizationObserver,
     RecordingObserver,
-    PhaseTimingObserver,
     TensatConfig,
     optimize,
     optimize_many,
@@ -150,25 +153,49 @@ class TestObservers:
     def test_observers_do_not_change_trajectory(self, nasrnn_like_graph):
         silent = optimize(nasrnn_like_graph, config=FAST)
         observed = optimize(
-            nasrnn_like_graph, config=FAST, observers=[RecordingObserver(), PhaseTimingObserver()]
+            nasrnn_like_graph, config=FAST, observers=[RecordingObserver(), OptimizationObserver()]
         )
         assert _trajectory(observed) == _trajectory(silent)
 
-    def test_phase_timing_observer_matches_stats(self, shared_matmul_graph):
-        timing = PhaseTimingObserver()
-        result = optimize(shared_matmul_graph, config=FAST, observers=[timing])
-        assert timing.iterations == result.runner_report.num_iterations
-        assert timing.phase_seconds["exploration"] == pytest.approx(
-            result.stats.exploration_seconds
-        )
-        assert timing.phase_seconds["extraction"] == pytest.approx(
-            result.stats.extraction_seconds
-        )
-        assert timing.search_seconds == pytest.approx(result.stats.search_seconds)
-        assert timing.apply_seconds == pytest.approx(result.stats.apply_seconds)
-        assert timing.rebuild_seconds == pytest.approx(result.stats.rebuild_seconds)
-        assert timing.total_seconds == pytest.approx(result.stats.total_seconds)
-        assert len(timing.per_iteration) == timing.iterations
+    def test_phase_events_and_stage_totals_match_stats(self, shared_matmul_graph):
+        recorder = RecordingObserver()
+        result = optimize(shared_matmul_graph, config=FAST, observers=[recorder])
+        stats = result.stats
+        phases = {name: seconds for _kind, name, seconds in recorder.of_kind("phase")}
+        assert list(phases) == ["exploration", "extraction", "materialization"]
+        assert phases["exploration"] == stats.exploration_seconds
+        assert phases["extraction"] == stats.extraction_seconds
+        assert sum(phases.values()) == pytest.approx(stats.total_seconds)
+        iterations = result.runner_report.iterations
+        assert len(recorder.of_kind("iteration_end")) == len(iterations)
+        for field in ("search_seconds", "apply_seconds", "rebuild_seconds",
+                      "multi_join_seconds", "condition_seconds"):
+            assert getattr(stats, field) == pytest.approx(
+                sum(getattr(it, field) for it in iterations)
+            )
+
+
+@pytest.mark.parametrize("extraction", ["greedy", "ilp"])
+def test_finished_session_frees_its_egraph_by_refcounting(extraction):
+    """No reference cycle holds a finished run's e-graph.
+
+    A cycle through it (a self-referencing recursive closure, say) would
+    keep every e-node alive until the next cyclic collection, so a closed
+    loop of runs would carry the previous run's e-graph into the next.
+    """
+    config = TensatConfig(**{**GOLDEN_CONFIG, "iter_limit": 3, "extraction": extraction})
+    graph = build_model("nasrnn", "tiny")
+    gc.collect()
+    gc.disable()
+    try:
+        session = OptimizationSession(graph, config=config)
+        result = session.result()
+        assert extraction in result.stats.extraction_stage_seconds
+        egraph = weakref.ref(session.egraph)
+        del session, result
+        assert egraph() is None
+    finally:
+        gc.enable()
 
 
 class TestOptimizeMany:
